@@ -1,6 +1,7 @@
 package gasf
 
 import (
+	"gasf/internal/broker"
 	"gasf/internal/server"
 )
 
@@ -72,27 +73,28 @@ type ServerConfig = server.Config
 type Server = server.Server
 
 // SlowPolicy selects how a full subscriber delivery queue is treated —
-// backpressure (PolicyBlock) or counted drops (PolicyDrop). It is shared
-// by ServerConfig.Policy and the broker option WithSlowPolicy.
-type SlowPolicy = server.Policy
+// backpressure (PolicyBlock), counted drops (PolicyDrop) or adaptive
+// coarsening (PolicyDegrade). It is the session core's one policy type,
+// shared by ServerConfig.Policy and the broker option WithSlowPolicy.
+type SlowPolicy = broker.Policy
 
 // Slow-consumer policies for ServerConfig.Policy and WithSlowPolicy.
 const (
 	// PolicyBlock applies backpressure from slow subscribers up to the
 	// publishers.
-	PolicyBlock = server.PolicyBlock
+	PolicyBlock = broker.Block
 	// PolicyDrop drops deliveries to slow subscribers and counts them.
-	PolicyDrop = server.PolicyDrop
+	PolicyDrop = broker.Drop
 	// PolicyDegrade blocks like PolicyBlock but adaptively coarsens the
 	// precision of pressured subscriptions whose filters support scaling
 	// (the DC family), announcing each change in Subscription.QoS and
 	// restoring full fidelity stepwise once the pressure clears.
-	PolicyDegrade = server.PolicyDegrade
+	PolicyDegrade = broker.Degrade
 )
 
 // ParsePolicy reads a slow-consumer policy name ("block", "drop" or
 // "degrade").
-func ParsePolicy(s string) (SlowPolicy, error) { return server.ParsePolicy(s) }
+func ParsePolicy(s string) (SlowPolicy, error) { return broker.ParsePolicy(s) }
 
 // StartServer starts an embedded streaming server; useful for tests and
 // single-process deployments.

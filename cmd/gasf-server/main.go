@@ -46,6 +46,7 @@ import (
 	"syscall"
 	"time"
 
+	"gasf/internal/broker"
 	"gasf/internal/core"
 	"gasf/internal/federate"
 	"gasf/internal/seglog"
@@ -70,7 +71,7 @@ func run(args []string) error {
 		shards      = fs.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
 		shardQueue  = fs.Int("shard-queue", 0, "per-shard input queue depth (0 = default)")
 		flushBatch  = fs.Int("flushbatch", 0, "released-transmission flush batch (0 = default)")
-		queue       = fs.Int("queue", 256, "default per-subscriber send queue, in frames")
+		queue       = fs.Int("queue", 256, "default per-subscriber send queue, in deliveries")
 		policy      = fs.String("policy", "block", "slow-consumer policy: block, drop or degrade")
 		heartbeat   = fs.Duration("heartbeat", 2*time.Second, "subscriber heartbeat / gap-scan interval")
 		srcTimeout  = fs.Duration("source-timeout", 30*time.Second, "expire sources silent for this long (<0 disables)")
@@ -105,7 +106,7 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q (want RG or PS)", *alg)
 	}
-	pol, err := server.ParsePolicy(*policy)
+	pol, err := broker.ParsePolicy(*policy)
 	if err != nil {
 		return err
 	}
@@ -145,7 +146,7 @@ func run(args []string) error {
 	}
 
 	srv, err := server.Start(server.Config{
-		Addr:                 *addr,
+		Addr: *addr,
 		Federation: server.FederationConfig{
 			Role:  fedRole,
 			Self:  *self,

@@ -27,18 +27,11 @@ func NewEmbedded(opts ...Option) (*Embedded, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol := broker.Block
-	switch cfg.policy {
-	case PolicyDrop:
-		pol = broker.Drop
-	case PolicyDegrade:
-		pol = broker.Degrade
-	}
 	b, err := broker.New(broker.Config{
 		Engine:               cfg.engine,
 		SubscriberQueue:      cfg.subQueue,
 		MaxSubscriberQueue:   cfg.maxSubQueue,
-		Policy:               pol,
+		Policy:               cfg.policy,
 		EvictAfterDrops:      cfg.evictAfterDrops,
 		DataDir:              cfg.dataDir,
 		Seglog:               cfg.seglog,
@@ -100,9 +93,10 @@ func (e *Embedded) Metrics() []ShardSnapshot { return e.b.Metrics() }
 // Telemetry returns the pipeline telemetry snapshot: frugal-estimated
 // delivery-latency quantiles and the sampled stage-duration histograms.
 // Zero when telemetry was disabled with WithTelemetry(-1). The embedded
-// broker observes delivery latency at the subscriber queue hand-off
-// (there is no egress socket in-process).
-func (e *Embedded) Telemetry() TelemetrySnapshot { return e.b.Telemetry() }
+// delivery point is the subscription's Recv: latency spans the tuple's
+// timestamp to the instant Recv decodes its frame, queue wait included
+// (the networked server's point is the egress write).
+func (e *Embedded) Telemetry() TelemetrySnapshot { return e.b.Telemetry().Snapshot() }
 
 // embeddedSub adapts the internal subscription to the unified interface
 // (pointer deliveries, the shared end-of-stream sentinel).

@@ -1,13 +1,10 @@
-// Package broker implements the embedded (in-process) streaming broker:
-// dynamic sources and subscriptions multiplexed onto the sharded
-// group-aware filtering runtime (internal/shard), with the same session
-// semantics as the networked server (internal/server) but no sockets in
-// the loop.
-//
-// The broker is the adapter layer behind the public gasf.Broker API's
-// embedded implementation. It mirrors the server's lifecycle exactly so
-// the two transports stay behaviorally interchangeable — the facade's
-// parity suite asserts byte-identical released sequences per subscriber:
+// Package broker is the session core shared by both transports: dynamic
+// sources and subscriptions multiplexed onto the sharded group-aware
+// filtering runtime (internal/shard). The embedded gasf.Broker drives it
+// directly; the networked server (internal/server) wraps the same core
+// with sockets, so the two transports are behaviorally interchangeable by
+// construction — the facade's parity suite confirms byte-identical
+// released sequences per subscriber.
 //
 //   - A source opens with a name and schema, streams strictly
 //     timestamp-ordered tuples, and finishes; finishing flushes the
@@ -16,17 +13,21 @@
 //     specification at a tuple boundary (the paper's group re-derivation,
 //     §4.3) and leaves the same way; membership changes are applied by
 //     the source's owning shard worker, so other sources are undisturbed.
-//   - Deliveries are fanned out per released transmission with the
-//     destination labels pruned to the live subscribers, exactly as the
-//     server's sink prunes departed sessions from the wire encoding.
-//   - A bounded per-subscription delivery queue applies the block or
-//     drop slow-consumer policy.
+//   - Each released transmission is encoded once into a pooled,
+//     refcounted frame labeled with the live subscribers only, appended
+//     to the durable log when there is one, and shared by every target
+//     queue. A networked writer ships the frame bytes; an embedded
+//     subscription decodes them on Recv.
+//   - A bounded per-member queue, counted in deliveries, applies the
+//     block, drop or degrade slow-consumer policy.
 package broker
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"slices"
 	"sync"
@@ -45,24 +46,54 @@ import (
 	"gasf/internal/wire"
 )
 
-// Policy selects how a full subscription queue is treated.
+// Policy selects how a full member queue is treated.
 type Policy int
 
 const (
 	// Block applies backpressure: the shard worker waits for queue space,
-	// which eventually stalls the publishers feeding that shard.
+	// which eventually stalls the publishers feeding that shard. Nothing
+	// is lost; the slowest consumer paces its sources.
 	Block Policy = iota
 	// Drop discards the delivery and counts it, keeping fast subscribers
 	// and publishers unaffected by a slow one.
 	Drop
-	// Degrade blocks like Block but adaptively coarsens the precision of
-	// pressured subscriptions whose filters support scaling
-	// (adapt.Scalable): an adapt.Governor per subscription watches queue
-	// occupancy and delivery p99 and widens the effective quality spec
-	// under overload, restoring it stepwise once calm. Subscriptions whose
-	// filters are not Scalable degrade to plain blocking.
+	// Degrade keeps Block's zero-loss backpressure but adds a
+	// per-subscriber adaptive controller: under sustained queue pressure
+	// (or past the delivery-p99 watermark) a subscriber whose filter
+	// implements adapt.Scalable has its effective quality spec coarsened
+	// stepwise at tuple boundaries, and restored stepwise with hysteresis
+	// once pressure clears. Subscribers whose filters are not Scalable
+	// degrade to plain blocking.
 	Degrade
 )
+
+// String implements fmt.Stringer.
+func (p Policy) String() string {
+	switch p {
+	case Block:
+		return "block"
+	case Drop:
+		return "drop"
+	case Degrade:
+		return "degrade"
+	default:
+		return fmt.Sprintf("Policy(%d)", int(p))
+	}
+}
+
+// ParsePolicy reads a policy name ("block", "drop" or "degrade").
+func ParsePolicy(s string) (Policy, error) {
+	switch s {
+	case "block":
+		return Block, nil
+	case "drop":
+		return Drop, nil
+	case "degrade":
+		return Degrade, nil
+	default:
+		return 0, fmt.Errorf("unknown slow-consumer policy %q (want block, drop or degrade)", s)
+	}
+}
 
 // Config parameterizes a Broker. The zero value runs default engine
 // options with blocking slow-consumer handling.
@@ -70,45 +101,38 @@ type Config struct {
 	// Engine configures the group-aware engine deployed per source
 	// (algorithm, cuts, output strategy) and the shard runtime knobs.
 	Engine core.Options
-	// SubscriberQueue bounds each subscription's delivery queue, in
+	// SubscriberQueue bounds each member's delivery queue, in
 	// deliveries; 0 means 256. A subscription may request its own depth,
 	// clamped to MaxSubscriberQueue.
 	SubscriberQueue int
-	// MaxSubscriberQueue caps the per-subscription queue depth a
-	// subscriber may request (memory protection); 0 means 65536.
+	// MaxSubscriberQueue caps the per-member queue depth a subscriber may
+	// request (memory protection); 0 means 65536.
 	MaxSubscriberQueue int
-	// Policy selects the slow-consumer policy (block or drop).
+	// Policy selects the slow-consumer policy (block, drop or degrade).
 	Policy Policy
 	// EvictTimeout bounds how long a blocking delivery waits on a full
-	// subscription queue before the subscriber is treated as departed
-	// and evicted — the in-process mirror of the server's WriteTimeout,
-	// and what keeps an abandoned blocking subscription from wedging a
-	// shard worker (and with it Finish and a graceful Close) forever.
-	// 0 means 10s; negative disables eviction (unbounded blocking).
+	// member queue before the member is evicted — what keeps an abandoned
+	// blocking subscription from wedging a shard worker (and with it
+	// Finish and a graceful Close) forever. 0 means 10s; negative
+	// disables eviction (unbounded blocking, for transports whose writer
+	// enforces its own deadline).
 	EvictTimeout time.Duration
-	// EvictAfterDrops evicts a Drop-policy subscription once its dropped
-	// delivery count reaches this threshold: instead of silently losing
-	// deliveries forever, the subscription is detached and Recv surfaces
-	// ErrEvicted. 0 disables (the historical semantics: drop forever).
+	// EvictAfterDrops evicts a member once this many of its deliveries
+	// have been dropped: instead of thinning silently forever, the
+	// session ends with ErrEvicted. 0 disables drop-count eviction.
 	EvictAfterDrops int
 	// Degrade tunes the per-subscription governor used by the Degrade
 	// policy (watermarks, step, cooldown). The zero value takes the
 	// governor defaults. Ignored under other policies.
 	Degrade adapt.GovernorConfig
-	// SourceTimeout auto-finishes a silent source: one that neither
-	// publishes nor sits in a backpressured submit for this long is
-	// finished as if its owner had called Finish (engine tail flushed,
-	// subscriber streams ended) — the in-process mirror of the server's
-	// flow-gap expiry, for embedded publishers that abandon a stream
-	// without finishing it. 0 (the default) and negative disable the
-	// tracker entirely: an embedded source then lives until Finish or
-	// Close, the historical semantics.
+	// SourceTimeout expires a silent source: one that neither publishes,
+	// heartbeats, nor sits in a backpressured submit for this long. 0 and
+	// negative disable the tracker entirely.
 	SourceTimeout time.Duration
 	// ScanInterval is the granularity of the flow-gap wheel when
 	// SourceTimeout is set: silence is detected no earlier than
 	// SourceTimeout and no later than about two intervals past it. 0
-	// derives SourceTimeout/8 clamped to [10ms, 1s]. Ignored when
-	// SourceTimeout leaves the tracker disabled.
+	// derives SourceTimeout/8 clamped to [10ms, 1s].
 	ScanInterval time.Duration
 	// DataDir, when set, makes the broker durable: every delivered
 	// transmission is appended to a per-source segment log under this
@@ -124,6 +148,9 @@ type Config struct {
 	// of two). 0 means telemetry.DefaultSampleEvery; negative disables
 	// stage timing and latency estimation entirely.
 	TelemetrySampleEvery int
+	// Logger, when set, receives the core's session events (degrade and
+	// restore decisions, evictions, log append failures).
+	Logger *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -140,25 +167,46 @@ func (c Config) withDefaults() Config {
 		c.EvictTimeout = 10 * time.Second
 	}
 	if c.ScanInterval <= 0 && c.SourceTimeout > 0 {
-		c.ScanInterval = c.SourceTimeout / 8
-		if c.ScanInterval < 10*time.Millisecond {
-			c.ScanInterval = 10 * time.Millisecond
-		}
-		if c.ScanInterval > time.Second {
-			c.ScanInterval = time.Second
-		}
+		c.ScanInterval = min(max(c.SourceTimeout/8, 10*time.Millisecond), time.Second)
+	}
+	if c.Logger == nil {
+		c.Logger = slog.New(discardHandler{})
 	}
 	return c
 }
+
+// discardHandler drops every record (go 1.22 predates
+// slog.DiscardHandler).
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // ErrStreamEnded reports a graceful end of a subscription stream (the
 // source finished or the broker closed).
 var ErrStreamEnded = errors.New("broker: stream ended")
 
 // ErrEvicted reports that the broker force-detached the subscription —
-// it blocked past Config.EvictTimeout, or exceeded Config.EvictAfterDrops
-// under the drop policy. Recv errors wrap it with the reason.
+// it blocked past Config.EvictTimeout, or exceeded Config.EvictAfterDrops.
+// Recv errors wrap it with the reason.
 var ErrEvicted = errors.New("broker: subscriber evicted")
+
+// ErrResumeUnavailable reports a resume that cannot be served: the broker
+// has no durable log, or the offset lies beyond the log head.
+//
+// The sentinel's message doubles as the machine-readable wire tag:
+// rejections wrap it with fmt.Errorf("%w: detail", ...), so an error
+// frame renders as "resume unavailable: detail", and the networked
+// client re-types the payload by cutting that exact prefix. Match with
+// errors.Is, never by prose.
+var ErrResumeUnavailable = errors.New("resume unavailable")
+
+// ErrAlreadySubscribed reports a join rejected because the (app, source)
+// pair is already held by a live session. It is transient while a
+// departure is in flight. Tagged on the wire like ErrResumeUnavailable.
+var ErrAlreadySubscribed = errors.New("already subscribed")
 
 // errClosed rejects operations after Close.
 var errClosed = errors.New("broker: closed")
@@ -178,23 +226,43 @@ type Delivery struct {
 	Offset uint64
 }
 
-// Broker is the embedded streaming runtime. Create with New, open
-// publishers with OpenSource, join groups with Subscribe, stop with
-// Close.
+// Stats is a point-in-time read of the core's counters.
+type Stats struct {
+	// Transmissions counts released transmissions handed to the sink,
+	// Deliveries the member-queue hand-offs they fanned out to, and Drops
+	// the deliveries lost to the slow-consumer policy or to departure.
+	Transmissions, Deliveries, Drops uint64
+	// Evictions counts members force-detached (blocked past EvictTimeout
+	// or dropping past EvictAfterDrops); SourcesExpired counts sources
+	// retired by flow-gap expiry.
+	Evictions, SourcesExpired uint64
+	// QoSDegrades and QoSRestores count degrade-governor decisions.
+	QoSDegrades, QoSRestores uint64
+	// LogAppendErrors counts failed durable-log appends (durability
+	// degraded; delivery continued).
+	LogAppendErrors uint64
+}
+
+// Broker is the session core. Create with New, open publishers with
+// OpenSource, join groups with Subscribe, stop with Close.
 type Broker struct {
 	cfg    Config
+	lg     *slog.Logger
 	rt     *shard.Runtime
 	cancel context.CancelFunc
+	// abort is closed by Abort: it releases every shard worker parked in
+	// a blocking send, which context cancellation alone cannot reach.
+	abort     chan struct{}
+	abortOnce sync.Once
 
 	// log is the durable per-source segment log, nil unless Config.DataDir
-	// was set. The sink appends before fan-out; replay goroutines read it
+	// was set. The sink appends before fan-out; replays read it
 	// concurrently (reads work on snapshots, so they also tolerate Close).
-	log           *seglog.Log
-	logAppendErrs atomic.Uint64
+	log *seglog.Log
 
-	// mu guards the session registries; the delivery fan-out (sink) takes
-	// the read side so shard workers do not serialize against each other
-	// or against open/subscribe calls.
+	// mu guards the registries; the fan-out (sink) takes the read side so
+	// shard workers do not serialize against each other or against
+	// open/subscribe calls.
 	mu      sync.RWMutex
 	sources map[string]*Source
 	subs    map[string]map[string]*Sub
@@ -205,26 +273,24 @@ type Broker struct {
 	tel *telemetry.Pipeline
 
 	// wheel tracks per-source liveness when Config.SourceTimeout is set
-	// (nil otherwise): publishes touch it off the lock, a background
-	// loop advances it every ScanInterval, and expiry auto-finishes the
-	// silent source. Shared design with the networked server's flow-gap
-	// detector.
+	// (nil otherwise): publishes touch it off the lock, a background loop
+	// advances it every ScanInterval, and expiry retires the silent
+	// source.
 	wheel     *flowgap.Wheel
-	evictStop chan struct{}
-	evictWG   sync.WaitGroup
-	evicted   atomic.Uint64
+	wheelStop chan struct{}
+	wheelWG   sync.WaitGroup
 
-	// evictedSubs counts subscriptions force-detached (blocked past
-	// EvictTimeout, or past EvictAfterDrops under the drop policy).
-	evictedSubs atomic.Uint64
+	transmissions, deliveries, drops     atomic.Uint64
+	evictions, sourcesExpired            atomic.Uint64
+	qosDegrades, qosRestores, appendErrs atomic.Uint64
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// New starts an embedded broker over a fresh shard runtime. With
-// Config.DataDir set it first opens (and recovers) the durable log, so a
-// failed recovery surfaces here rather than on the first publish.
+// New starts a broker over a fresh shard runtime. With Config.DataDir set
+// it first opens (and recovers) the durable log, so a failed recovery
+// surfaces here rather than on the first publish.
 func New(cfg Config) (*Broker, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Policy == Degrade {
@@ -249,8 +315,10 @@ func New(cfg Config) (*Broker, error) {
 	sc.Telemetry = tel
 	b := &Broker{
 		cfg:     cfg,
+		lg:      cfg.Logger,
 		rt:      shard.New(sc),
 		cancel:  cancel,
+		abort:   make(chan struct{}),
 		log:     log,
 		sources: make(map[string]*Source),
 		subs:    make(map[string]map[string]*Sub),
@@ -265,15 +333,15 @@ func New(cfg Config) (*Broker, error) {
 	}
 	if cfg.SourceTimeout > 0 {
 		b.wheel = flowgap.NewWheel(cfg.ScanInterval, cfg.SourceTimeout, b.expireSource)
-		b.evictStop = make(chan struct{})
-		b.evictWG.Add(1)
+		b.wheelStop = make(chan struct{})
+		b.wheelWG.Add(1)
 		go func() {
-			defer b.evictWG.Done()
+			defer b.wheelWG.Done()
 			tk := time.NewTicker(cfg.ScanInterval)
 			defer tk.Stop()
 			for {
 				select {
-				case <-b.evictStop:
+				case <-b.wheelStop:
 					return
 				case now := <-tk.C:
 					b.wheel.Advance(now)
@@ -284,69 +352,94 @@ func New(cfg Config) (*Broker, error) {
 	return b, nil
 }
 
-// expireSource is the wheel's expiry callback: the silent source is
-// finished exactly as if its owner had called Finish, off the advance
-// loop so a long tail flush cannot stall expiry of other sources.
-func (b *Broker) expireSource(data any, _ time.Duration) {
+// expireSource is the wheel's expiry callback (on the advance loop,
+// outside every lock): the source's expiry hook runs if it has one,
+// otherwise the silent source is finished exactly as if its owner had
+// called Finish, off the advance loop so a long tail flush cannot stall
+// expiry of other sources.
+func (b *Broker) expireSource(data any, lag time.Duration) {
 	src := data.(*Source)
-	b.evicted.Add(1)
+	b.sourcesExpired.Add(1)
+	if src.onExpire != nil {
+		src.onExpire(lag)
+		return
+	}
 	go src.Finish(context.Background())
 }
 
-// Evicted returns the count of sources auto-finished by flow-gap expiry
-// (always 0 unless Config.SourceTimeout enabled the tracker).
-func (b *Broker) Evicted() uint64 { return b.evicted.Load() }
+// Stats snapshots the core's counters.
+func (b *Broker) Stats() Stats {
+	return Stats{
+		Transmissions:   b.transmissions.Load(),
+		Deliveries:      b.deliveries.Load(),
+		Drops:           b.drops.Load(),
+		Evictions:       b.evictions.Load(),
+		SourcesExpired:  b.sourcesExpired.Load(),
+		QoSDegrades:     b.qosDegrades.Load(),
+		QoSRestores:     b.qosRestores.Load(),
+		LogAppendErrors: b.appendErrs.Load(),
+	}
+}
 
-// EvictedSubs returns the count of subscriptions force-detached for
-// blocking past EvictTimeout or dropping past EvictAfterDrops.
-func (b *Broker) EvictedSubs() uint64 { return b.evictedSubs.Load() }
+// Config returns the configuration in effect (defaults applied).
+func (b *Broker) Config() Config { return b.cfg }
 
-// Durable reports whether the broker writes a durable log (Config.DataDir
-// was set), i.e. whether resuming subscriptions are accepted.
-func (b *Broker) Durable() bool { return b.log != nil }
+// Log exposes the durable log (nil unless Config.DataDir was set).
+func (b *Broker) Log() *seglog.Log { return b.log }
 
-// LogAppendErrors returns the count of failed durable-log appends
-// (durability degraded; delivery continued).
-func (b *Broker) LogAppendErrors() uint64 { return b.logAppendErrs.Load() }
+// Wheel exposes the flow-gap wheel (nil unless Config.SourceTimeout is
+// positive).
+func (b *Broker) Wheel() *flowgap.Wheel { return b.wheel }
 
 // Runtime exposes the shard runtime for metrics.
 func (b *Broker) Runtime() *shard.Runtime { return b.rt }
 
 // Results returns the per-source engine results accumulated so far; call
 // after the sources finished (or after Close) for settled results.
-// Unlike the networked server, the embedded broker retains finished
-// sources, so batch runs can read their results.
+// Finished sources stay registered (and their results readable) unless
+// they were retired with Source.Retire.
 func (b *Broker) Results() map[string]*core.Result { return b.rt.Results() }
 
 // Metrics returns the per-shard runtime counters.
 func (b *Broker) Metrics() []shard.Snapshot { return b.rt.Metrics() }
 
-// Telemetry snapshots the stage-timing histograms and delivery-latency
-// quantiles (a zero snapshot when telemetry is disabled). The embedded
-// delivery point is the queue hand-off in the sink, so delivery latency
-// here spans publish to enqueue, not a socket write.
-func (b *Broker) Telemetry() telemetry.Snapshot { return b.tel.Snapshot() }
+// Telemetry exposes the stage-timing pipeline (nil when disabled).
+func (b *Broker) Telemetry() *telemetry.Pipeline { return b.tel }
+
+// QueueDepth applies the broker default and cap to a requested member
+// queue depth (0 takes the default).
+func (b *Broker) QueueDepth(req int) int {
+	if req <= 0 {
+		req = b.cfg.SubscriberQueue
+	}
+	return min(req, b.cfg.MaxSubscriberQueue)
+}
+
+// Subs snapshots every registered group member (introspection).
+func (b *Broker) Subs() []*Sub {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	var all []*Sub
+	for _, m := range b.subs {
+		for _, sub := range m {
+			all = append(all, sub)
+		}
+	}
+	return all
+}
 
 // sinkState caches the per-source fan-out of the last released
 // transmission: the engine-decided destination list is mapped to live
-// subscription targets and their labels once per (epoch, list) run
-// instead of once per transmission — the in-process mirror of the
-// server's encode cache. targets/labels are reallocated (never trimmed
-// in place) on recompute because queued Deliveries share the labels
-// slice.
+// member targets and their labels once per (epoch, list) run instead of
+// once per transmission, and the encoded destination prefix is memoized
+// inside the wire encoder. Owned by the source's shard worker (sink calls
+// for one source are serialized), so it needs no locking.
 type sinkState struct {
 	epoch   uint64
-	inDests []string
+	inDests []string // engine destination list the cache was computed for
 	targets []*Sub
 	labels  []string
-
-	// enc and encBuf serve the durable log: on a durable broker the sink
-	// encodes each delivered transmission (pruned labels — exactly the
-	// bytes a networked subscriber would receive) and appends it before
-	// fan-out. Owned by the source's shard worker like the rest of the
-	// state, so no locking.
-	enc    wire.TransmissionEncoder
-	encBuf []byte
+	enc     wire.TransmissionEncoder
 }
 
 // Source is one open publisher session.
@@ -355,28 +448,28 @@ type Source struct {
 	name   string
 	schema *tuple.Schema
 
-	// subEpoch counts subscriber-registry changes for this source; it is
+	// subEpoch counts member-registry changes for this source; it is
 	// written under Broker.mu and read under its read side. The sink's
 	// cache is keyed by it, so a membership change can never serve stale
 	// targets or labels.
 	subEpoch uint64
-	// sink is owned by the source's shard worker (sink calls for one
-	// source are serialized), so it needs no locking of its own.
-	sink sinkState
+	sink     sinkState
 
-	// gap is the source's liveness entry in the broker's flow-gap wheel
-	// (untracked when eviction is disabled). Publishes touch it and hold
-	// its busy flag across the shard submit, so a source stalled in
-	// backpressure is never mistaken for a silent one.
-	gap flowgap.Entry
+	// gap is the source's liveness entry in the flow-gap wheel (untracked
+	// when expiry is disabled). Publishes touch it and hold its busy flag
+	// across the shard submit, so a source stalled in backpressure is
+	// never mistaken for a silent one. onExpire, when set, replaces the
+	// default expiry action (Finish).
+	gap      flowgap.Entry
+	onExpire func(lag time.Duration)
 
 	mu       sync.Mutex
 	lastTS   time.Time
 	finished bool
 	one      [1]*tuple.Tuple // Publish scratch
 
-	// lat estimates the source group's delivery-latency quantiles; fed
-	// by the sink at fan-out. Nil when telemetry is disabled.
+	// lat estimates the group's delivery-latency quantiles, fed at the
+	// delivery point through each frame. Nil when telemetry is disabled.
 	lat *telemetry.LatencyPair
 
 	finOnce sync.Once
@@ -385,10 +478,19 @@ type Source struct {
 }
 
 // OpenSource registers a live source: tuples may be published and
-// subscribers may join as soon as the call returns. Source names are
-// unique for the broker's lifetime (a finished source keeps its name and
-// its result; reopening it is an error).
+// subscribers may join as soon as the call returns. A registered name is
+// taken until the source is retired (a finished source keeps its name
+// and its result; reopening it is an error).
 func (b *Broker) OpenSource(name string, schema *tuple.Schema) (*Source, error) {
+	return b.OpenSourceExpiring(name, schema, nil)
+}
+
+// OpenSourceExpiring is OpenSource with a flow-gap expiry hook: when the
+// source goes silent past Config.SourceTimeout, onExpire runs on the
+// wheel's advance loop (lag is how far past its deadline the expiry
+// fired) instead of the default Finish. A transport uses it to cut the
+// publisher's connection and let its reader retire the source.
+func (b *Broker) OpenSourceExpiring(name string, schema *tuple.Schema, onExpire func(lag time.Duration)) (*Source, error) {
 	if name == "" {
 		return nil, fmt.Errorf("broker: empty source name")
 	}
@@ -401,7 +503,7 @@ func (b *Broker) OpenSource(name string, schema *tuple.Schema) (*Source, error) 
 		return nil, errClosed
 	}
 	if b.sources[name] != nil {
-		return nil, fmt.Errorf("broker: source %q already opened", name)
+		return nil, fmt.Errorf("source %q already connected", name)
 	}
 	engine, err := core.NewDynamicEngine(b.cfg.Engine)
 	if err != nil {
@@ -410,7 +512,7 @@ func (b *Broker) OpenSource(name string, schema *tuple.Schema) (*Source, error) 
 	if err := b.rt.AddSourceLive(name, engine); err != nil {
 		return nil, err
 	}
-	src := &Source{b: b, name: name, schema: schema, finDone: make(chan struct{})}
+	src := &Source{b: b, name: name, schema: schema, onExpire: onExpire}
 	if b.tel != nil {
 		src.lat = telemetry.NewLatencyPair()
 	}
@@ -425,10 +527,29 @@ func (s *Source) Name() string { return s.name }
 // Schema returns the advertised schema.
 func (s *Source) Schema() *tuple.Schema { return s.schema }
 
+// Latency snapshots the group's delivery-latency quantiles (zero when
+// telemetry is disabled).
+func (s *Source) Latency() telemetry.LatencySnapshot { return s.lat.Snapshot() }
+
+// Touch records proof of life (a heartbeat) in the flow-gap wheel.
+func (s *Source) Touch() { s.b.wheel.Touch(&s.gap) }
+
+// SetBusy marks the source as parked inside a barrier (busy sources are
+// never expired) and touches it on the way out.
+func (s *Source) SetBusy(busy bool) {
+	s.gap.SetBusy(busy)
+	if !busy {
+		s.Touch()
+	}
+}
+
+// LastSeen is the start of the wheel tick of the source's last touch
+// (zero when expiry is disabled).
+func (s *Source) LastSeen() time.Time { return s.b.wheel.TickTime(s.gap.LastTouch()) }
+
 // Publish enqueues one tuple for the source's shard, blocking under
 // backpressure until either ctx or the broker is done. Timestamps must
-// be strictly increasing and the tuple must use the advertised schema —
-// the same contract the networked server enforces at ingest.
+// be strictly increasing and the tuple must use the advertised schema.
 func (s *Source) Publish(ctx context.Context, t *tuple.Tuple) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -439,9 +560,7 @@ func (s *Source) Publish(ctx context.Context, t *tuple.Tuple) error {
 }
 
 // PublishBatch publishes a run of tuples, crossing the shard boundary in
-// one synchronization when the ring has room. Per-source calls must be
-// serialized by the caller's use of one Source handle (the handle locks
-// internally). The slice is not retained.
+// one synchronization when the ring has room. The slice is not retained.
 func (s *Source) PublishBatch(ctx context.Context, tuples []*tuple.Tuple) error {
 	if len(tuples) == 0 {
 		return nil
@@ -469,24 +588,22 @@ func (s *Source) publishLocked(ctx context.Context, tuples []*tuple.Tuple) error
 		lastTS = t.TS
 	}
 	// The timestamp cursor advances past every validated tuple even if
-	// the submit fails partway — mirroring the server, which has decoded
-	// (and may have enqueued) them by the time an error surfaces.
+	// the submit fails partway: they may already sit in the ring.
 	s.lastTS = lastTS
-	if w := s.b.wheel; w != nil {
-		w.Touch(&s.gap)
-		s.gap.SetBusy(true)
-		err := s.b.rt.SubmitBatchContext(ctx, s.name, tuples)
-		s.gap.SetBusy(false)
-		return err
+	if s.b.wheel == nil {
+		return s.b.rt.SubmitBatchContext(ctx, s.name, tuples)
 	}
-	return s.b.rt.SubmitBatchContext(ctx, s.name, tuples)
+	s.Touch()
+	s.gap.SetBusy(true)
+	err := s.b.rt.SubmitBatchContext(ctx, s.name, tuples)
+	s.SetBusy(false)
+	return err
 }
 
 // Sync is the publish barrier: when it returns, every previously
 // published tuple is ordered in the source's shard ring ahead of any
-// later membership change. The embedded publish path is synchronous, so
-// Sync only reports whether the source is still usable; the networked
-// transport gives it real work.
+// later membership change. Publishing is synchronous, so Sync only
+// reports whether the source is still usable.
 func (s *Source) Sync(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -497,7 +614,7 @@ func (s *Source) Sync(ctx context.Context) error {
 		return fmt.Errorf("broker: source %q finished", s.name)
 	}
 	// A barrier is proof of life even with nothing published.
-	s.b.wheel.Touch(&s.gap)
+	s.Touch()
 	return nil
 }
 
@@ -508,24 +625,26 @@ func (s *Source) Sync(ctx context.Context) error {
 // subscribers' streams still end once the tail has flushed.
 func (s *Source) Finish(ctx context.Context) error {
 	s.finOnce.Do(func() {
+		// Made here, not at open: idle sources at scale never pay for it.
+		s.finDone = make(chan struct{})
 		s.mu.Lock()
 		s.finished = true
 		s.mu.Unlock()
-		// Drop the liveness entry; a finished source is not a silent one.
-		// (Unclean removal — Finish racing the expiry callback — is fine:
-		// sources are heap-allocated and never reused.)
+		// A finished source is not a silent one. (Unclean removal —
+		// Finish racing the expiry callback — is fine: sources are never
+		// reused.)
 		s.b.wheel.Remove(&s.gap)
 		go func() {
 			err := s.b.rt.FinishSourceWait(s.name)
 			// The finish marker has been processed (or the runtime is
-			// gone), so no further sink flush can touch these
-			// subscriptions: their queues are complete and may be closed.
+			// gone), so no further sink flush can touch these members:
+			// their queues are complete and their streams may end.
 			s.b.mu.Lock()
 			subs := s.b.subs[s.name]
 			delete(s.b.subs, s.name)
 			s.b.mu.Unlock()
 			for _, sub := range subs {
-				sub.finishStream()
+				sub.EndStream()
 			}
 			s.finErr = err
 			close(s.finDone)
@@ -539,6 +658,30 @@ func (s *Source) Finish(ctx context.Context) error {
 	}
 }
 
+// Retire finishes the source and then releases its name: the runtime
+// forgets the engine (and its result) before the registry forgets the
+// source, so a publisher reconnecting under the name either sees the old
+// session (rejected, retryable) or a clean slate — the networked
+// server's session model.
+func (s *Source) Retire() error {
+	err := s.Finish(context.Background())
+	if rerr := s.b.rt.RemoveSource(s.name); rerr != nil && !s.b.isClosed() {
+		err = errors.Join(err, rerr)
+	}
+	s.b.mu.Lock()
+	if s.b.sources[s.name] == s {
+		delete(s.b.sources, s.name)
+	}
+	s.b.mu.Unlock()
+	return err
+}
+
+func (b *Broker) isClosed() bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.closed
+}
+
 // AttachFilter joins a pre-built filter to a source's live group with no
 // delivery session: the engine coordinates it and its outputs appear in
 // the source's Result, but nothing is fanned out for it. The batch Run
@@ -550,71 +693,6 @@ func (b *Broker) AttachFilter(ctx context.Context, source string, f filter.Filte
 	}
 	return b.rt.ControlContext(ctx, source, func(e *core.Engine) error { return e.AddFilter(f) })
 }
-
-// Sub is one live subscription: a bounded queue of deliveries between
-// the source's shard worker and the receiving application.
-type Sub struct {
-	b      *Broker
-	app    string
-	source string
-	schema *tuple.Schema
-	spec   quality.Spec
-
-	out chan Delivery
-	// fin signals end of stream (closed after the source's final flush,
-	// or at broker teardown); out itself is never closed, so a worker's
-	// in-flight send can never race the teardown. Buffered deliveries
-	// remain receivable after fin closes.
-	fin  chan struct{}
-	done chan struct{}
-
-	// Resume state. spliceTo is the fence captured inside the AddFilter
-	// control closure — it runs on the owning shard worker at a tuple
-	// boundary, the same goroutine that appends to the log, so every live
-	// delivery for this subscription carries an offset >= spliceTo and the
-	// replayed history [resumeFrom, spliceTo) tiles the log exactly.
-	resume     bool
-	resumeFrom uint64
-	spliceTo   uint64
-	// replay carries the history records; the replay goroutine closes it
-	// at the fence (replayErr is written first, and is safe to read after
-	// observing the close). Recv drains replay before touching live
-	// deliveries; the consumer side of a Sub is single-threaded, as on
-	// every other transport.
-	replay    chan Delivery
-	replayErr error
-
-	leaveOnce sync.Once
-	finOnce   sync.Once
-	dropped   atomic.Uint64
-
-	// Degrade-policy state (nil/zero under other policies, or when the
-	// subscription's filter is not adapt.Scalable). The governor is driven
-	// only by the source's shard worker (send calls are serialized), so it
-	// needs no lock; the decided target crosses to scaleLoop — which must
-	// be a separate goroutine, since Control from the worker would
-	// deadlock — via targetScale + scaleKick, and the scale in effect is
-	// published in applied for QoS.
-	gov         *adapt.Governor
-	scalable    adapt.Scalable
-	scaleKick   chan struct{}
-	targetScale atomic.Uint64 // float64 bits
-	applied     atomic.Uint64 // float64 bits
-
-	// evictMsg latches the eviction reason before done closes, so a
-	// receiver unblocked by the close observes it (the close is the
-	// happens-before edge).
-	evictOnce sync.Once
-	evictMsg  atomic.Pointer[string]
-
-	// lat estimates this subscription's delivery-latency quantiles; fed
-	// by the sink at enqueue. Nil when telemetry is disabled.
-	lat *telemetry.LatencyPair
-}
-
-// Latency snapshots the subscription's delivery-latency quantiles (zero
-// when telemetry is disabled).
-func (s *Sub) Latency() telemetry.LatencySnapshot { return s.lat.Snapshot() }
 
 // SubOptions parameterizes Subscribe.
 type SubOptions struct {
@@ -641,12 +719,11 @@ func (b *Broker) Subscribe(ctx context.Context, app, source string, spec quality
 	if app == "" {
 		return nil, fmt.Errorf("broker: empty app name")
 	}
-	queue := o.Queue
-	if queue < 0 {
-		return nil, fmt.Errorf("broker: negative queue depth %d", queue)
+	if o.Queue < 0 {
+		return nil, fmt.Errorf("broker: negative queue depth %d", o.Queue)
 	}
 	if o.Resume && b.log == nil {
-		return nil, fmt.Errorf("broker: resume requested but the broker has no durable log (set Config.DataDir)")
+		return nil, fmt.Errorf("%w: the broker has no durable log (set a data dir)", ErrResumeUnavailable)
 	}
 	f, err := spec.Build(app)
 	if err != nil {
@@ -658,112 +735,82 @@ func (b *Broker) Subscribe(ctx context.Context, app, source string, spec quality
 		b.mu.Unlock()
 		return nil, errClosed
 	}
-	if o.Resume {
-		if head := b.log.NextOffset(source); o.ResumeFrom > head {
-			b.mu.Unlock()
-			return nil, fmt.Errorf("broker: resume offset %d is beyond the log head %d of source %q", o.ResumeFrom, head, source)
-		}
-	}
 	src := b.sources[source]
 	if src == nil {
 		b.mu.Unlock()
-		return nil, fmt.Errorf("broker: unknown source %q", source)
+		return nil, fmt.Errorf("unknown source %q", source)
 	}
 	for _, attr := range spec.Attrs {
 		if !src.schema.Has(attr) {
 			b.mu.Unlock()
-			return nil, fmt.Errorf("broker: source %q has no attribute %q (schema %v)", source, attr, src.schema)
+			return nil, fmt.Errorf("source %q has no attribute %q (schema %v)", source, attr, src.schema)
 		}
 	}
 	if b.subs[source][app] != nil {
 		b.mu.Unlock()
-		return nil, fmt.Errorf("broker: app %q already subscribed to %q", app, source)
+		return nil, fmt.Errorf("%w: app %q holds a live session on %q", ErrAlreadySubscribed, app, source)
 	}
-	// The wire protocol labels every destination with a u8 count; the
-	// embedded broker mirrors the limit so a group accepted here stays
-	// deliverable over any transport.
+	// Transmissions label every destination on the wire (u8 count), so a
+	// group larger than the encoding allows could never be delivered.
 	if len(b.subs[source]) >= wire.MaxDestinations {
 		b.mu.Unlock()
-		return nil, fmt.Errorf("broker: source %q already has %d subscribers (wire limit)", source, wire.MaxDestinations)
+		return nil, fmt.Errorf("source %q already has %d subscribers (wire limit)", source, wire.MaxDestinations)
 	}
-	if queue <= 0 {
-		queue = b.cfg.SubscriberQueue
-	}
-	if queue > b.cfg.MaxSubscriberQueue {
-		queue = b.cfg.MaxSubscriberQueue
-	}
-	sub := &Sub{
-		b:          b,
-		app:        app,
-		source:     source,
-		schema:     src.schema,
-		spec:       spec,
-		out:        make(chan Delivery, queue),
-		fin:        make(chan struct{}),
-		done:       make(chan struct{}),
-		resume:     o.Resume,
-		resumeFrom: o.ResumeFrom,
-	}
-	if b.tel != nil {
-		sub.lat = telemetry.NewLatencyPair()
-	}
-	if b.cfg.Policy == Degrade {
-		if sc, ok := f.(adapt.Scalable); ok {
-			gov, gerr := adapt.NewGovernor(b.cfg.Degrade)
-			if gerr != nil {
-				b.mu.Unlock()
-				return nil, fmt.Errorf("broker: %w", gerr)
-			}
-			sub.gov, sub.scalable = gov, sc
-			sub.scaleKick = make(chan struct{}, 1)
-			sub.targetScale.Store(math.Float64bits(1))
-			sub.applied.Store(math.Float64bits(1))
+	if o.Resume {
+		if head := b.log.NextOffset(source); o.ResumeFrom > head {
+			b.mu.Unlock()
+			return nil, fmt.Errorf("%w: resume offset %d is beyond the log head %d of source %q", ErrResumeUnavailable, o.ResumeFrom, head, source)
 		}
 	}
-	if sub.resume {
-		sub.replay = make(chan Delivery)
+	sub := b.newSub(app, source, src.schema, b.QueueDepth(o.Queue))
+	sub.spec = spec
+	sub.resume, sub.resumeFrom = o.Resume, o.ResumeFrom
+	if b.cfg.Policy == Degrade {
+		if sc, ok := f.(adapt.Scalable); ok {
+			// Config validated by New; a fresh governor per member keeps
+			// each subscriber's trajectory independent.
+			sub.gov, _ = adapt.NewGovernor(b.cfg.Degrade)
+			sub.scalable = sc
+			sub.scaleKick = make(chan struct{}, 1)
+			sub.targetScale.Store(math.Float64bits(1))
+		}
 	}
 	if b.subs[source] == nil {
 		b.subs[source] = make(map[string]*Sub)
 	}
-	// Registered before the filter joins the group, so the first delivery
-	// the engine decides for this app finds its queue.
+	// The name is reserved now, so a concurrent duplicate is rejected;
+	// the member receives from its join's tuple boundary on (joined).
 	b.subs[source][app] = sub
-	src.subEpoch++
 	b.mu.Unlock()
 
 	err = b.rt.ControlContext(ctx, source, func(e *core.Engine) error {
 		if err := e.AddFilter(f); err != nil {
 			return err
 		}
+		// Live from this boundary on. Releases before it were decided
+		// without this member — some possibly for a departed session of
+		// the same app — so the sink treats it as absent until now.
+		b.mu.Lock()
+		sub.joined = true
+		src.subEpoch++
 		if sub.resume {
 			// The splice fence: this closure runs on the owning shard
-			// worker at a tuple boundary, so no append for this source can
-			// interleave — history is everything before this point, live is
-			// everything after.
+			// worker at a tuple boundary, the same goroutine that appends
+			// to the log, so every record below the fence was released
+			// before this app joined and every transmission addressed to
+			// it lands at or above the fence. Replaying [resumeFrom, fence)
+			// and then streaming live is gapless and duplicate-free.
 			sub.spliceTo = b.log.NextOffset(source)
 		}
+		b.mu.Unlock()
 		return nil
 	})
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// The cancelled wait may have left the AddFilter enqueued — it
-			// will still run at its tuple boundary. Retract it behind it
-			// (same ring, so the retraction is ordered after the join) so
-			// no ghost member coordinates the group; the registry entry —
-			// and with it the app name — is released only once the
-			// retraction settled.
-			go func() {
-				_ = b.rt.Control(source, func(e *core.Engine) error { return e.RemoveFilter(app) })
-				b.dropSubEntry(sub)
-			}()
-		} else {
-			b.dropSubEntry(sub)
-		}
-		return nil, fmt.Errorf("broker: joining group of %q: %w", source, err)
+		b.failJoin(sub, err)
+		return nil, fmt.Errorf("joining group of %q: %w", source, err)
 	}
 	if sub.resume {
-		go sub.runReplay()
+		sub.cursor = b.log.Cursor(source, sub.resumeFrom, sub.spliceTo)
 	}
 	if sub.gov != nil {
 		go sub.scaleLoop()
@@ -771,40 +818,61 @@ func (b *Broker) Subscribe(ctx context.Context, app, source string, spec quality
 	return sub, nil
 }
 
-// runReplay streams the log records of [resumeFrom, spliceTo) addressed
-// to this app onto the replay channel, in offset order, then closes it.
-// Records naming other apps only (delivered while this one was away) are
-// skipped. A decode or read failure is recorded in replayErr before the
-// close, so the consumer surfaces it instead of silently skipping to the
-// live stream over a gap.
-func (s *Sub) runReplay() {
-	defer close(s.replay)
-	err := s.b.log.Read(s.source, s.resumeFrom, s.spliceTo, func(off uint64, payload []byte) error {
-		t, dests, _, err := wire.DecodeTransmission(s.schema, payload)
-		if err != nil {
-			return fmt.Errorf("broker: replaying %q at offset %d: %w", s.source, off, err)
-		}
-		if !slices.Contains(dests, s.app) {
-			return nil
-		}
-		select {
-		case s.replay <- Delivery{Tuple: t, Destinations: dests, Offset: off}:
-			return nil
-		case <-s.done:
-			return errReplayAborted
-		}
-	})
-	if err != nil && !errors.Is(err, errReplayAborted) {
-		s.replayErr = err
+// failJoin closes a member whose join failed or was abandoned through
+// the same member close as every other exit: a frame the sink queued to
+// it goes back to the pool (a cancelled join may still take effect at
+// its tuple boundary), and later sends drop.
+func (b *Broker) failJoin(sub *Sub, err error) {
+	sub.retractMu.Lock()
+	sub.retracted = true
+	sub.retractMu.Unlock()
+	sub.leave()
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		// The cancelled wait may have left the AddFilter enqueued — it
+		// will still run at its tuple boundary. Retract it behind it
+		// (same ring, so the retraction is ordered after the join) so no
+		// ghost member coordinates the group; the registry entry — and
+		// with it the app name — is released only once the retraction
+		// settled.
+		go func() {
+			_ = b.rt.Control(sub.source, func(e *core.Engine) error { return e.RemoveFilter(sub.app) })
+			b.dropSubEntry(sub)
+		}()
+		return
 	}
+	b.dropSubEntry(sub)
 }
 
-// errReplayAborted marks a replay cut short by the subscription's own
-// departure — an orderly exit, not a failure.
-var errReplayAborted = errors.New("broker: replay aborted by departure")
+// NewRelayMember creates a member outside every group: it is fed by the
+// caller (an edge's relay leg) through Send rather than by the sink, and
+// leaves through detach instead of an engine retraction. It shares the
+// member queue, slow-consumer policy and eviction of group members.
+func (b *Broker) NewRelayMember(app, source string, queue int, detach func()) *Sub {
+	sub := b.newSub(app, source, nil, b.QueueDepth(queue))
+	sub.detach = detach
+	return sub
+}
 
-// dropSubEntry removes a subscription from the registry (the engine side
-// has already been handled — or never joined).
+func (b *Broker) newSub(app, source string, schema *tuple.Schema, queue int) *Sub {
+	sub := &Sub{
+		b:       b,
+		app:     app,
+		source:  source,
+		schema:  schema,
+		out:     make(chan *Frame, queue),
+		fin:     make(chan struct{}),
+		done:    make(chan struct{}),
+		qosKick: make(chan struct{}, 1),
+	}
+	sub.applied.Store(math.Float64bits(1))
+	if b.tel != nil {
+		sub.lat = telemetry.NewLatencyPair()
+	}
+	return sub
+}
+
+// dropSubEntry removes a member from the registry (the engine side has
+// already been handled — or never joined).
 func (b *Broker) dropSubEntry(sub *Sub) {
 	b.mu.Lock()
 	if m := b.subs[sub.source]; m != nil && m[sub.app] == sub {
@@ -816,293 +884,14 @@ func (b *Broker) dropSubEntry(sub *Sub) {
 	b.mu.Unlock()
 }
 
-// App returns the application name of this subscription.
-func (s *Sub) App() string { return s.app }
-
-// Source returns the subscribed source name.
-func (s *Sub) Source() string { return s.source }
-
-// Schema returns the source schema.
-func (s *Sub) Schema() *tuple.Schema { return s.schema }
-
-// Spec returns the parsed quality specification the subscription joined
-// with.
-func (s *Sub) Spec() quality.Spec { return s.spec }
-
-// QueueDepth returns the delivery queue depth in effect (the requested
-// depth after defaulting and clamping).
-func (s *Sub) QueueDepth() int { return cap(s.out) }
-
-// Dropped returns the deliveries lost to the drop slow-consumer policy
-// (or to departure).
-func (s *Sub) Dropped() uint64 { return s.dropped.Load() }
-
-// QoS returns the quality scale currently applied to this subscription
-// by the Degrade policy: 1 means full fidelity, larger means the
-// effective spec has been coarsened by that factor. Always 1 under other
-// policies or when the subscription's filter cannot scale.
-func (s *Sub) QoS() float64 {
-	if s.gov == nil {
-		return 1
-	}
-	return math.Float64frombits(s.applied.Load())
-}
-
-// Recv blocks for the next delivery until ctx is done. It returns
-// ErrStreamEnded once the stream ends gracefully (the source finished,
-// the broker closed, or this subscription left the group).
-func (s *Sub) Recv(ctx context.Context) (Delivery, error) {
-	var d Delivery
-	err := s.RecvInto(ctx, &d)
-	return d, err
-}
-
-// RecvInto is Recv decoding into d. The embedded transport shares tuples
-// and label slices immutably, so unlike the networked RecvInto there is
-// no aliasing hazard; the variant exists so both transports satisfy one
-// interface with the allocation profile each can offer.
-func (s *Sub) RecvInto(ctx context.Context, d *Delivery) error {
-	deliver := func(dv Delivery) {
-		d.Tuple, d.Destinations, d.Offset = dv.Tuple, dv.Destinations, dv.Offset
-		d.ReceivedAt = time.Now()
-	}
-	// History first: a resuming subscription drains the replay channel
-	// before any live delivery. Live deliveries buffer in out meanwhile
-	// (they all carry offsets >= spliceTo), so the two phases tile into
-	// one seamless stream. The consumer side of a Sub is single-threaded,
-	// so clearing s.replay after observing its close is safe — and the
-	// close happens-before that read, making replayErr visible. replayErr
-	// is only read once s.replay is nil (i.e. after the close was
-	// observed), and a failed replay is terminal: falling through to the
-	// live stream would silently cross the gap.
-	if s.replay == nil && s.replayErr != nil {
-		return s.replayErr
-	}
-	for s.replay != nil {
-		select {
-		case dv, ok := <-s.replay:
-			if !ok {
-				s.replay = nil
-				if s.replayErr != nil {
-					return s.replayErr
-				}
-				continue // fall through to the live stream
-			}
-			deliver(dv)
-			return nil
-		case <-s.done:
-			return s.endErr()
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	select {
-	case dv := <-s.out:
-		deliver(dv)
-		return nil
-	case <-s.fin:
-		// The stream has ended; drain what is still buffered before
-		// reporting the end.
-		select {
-		case dv := <-s.out:
-			deliver(dv)
-			return nil
-		default:
-			return s.endErr()
-		}
-	case <-s.done:
-		return s.endErr()
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// endErr reports why the stream ended: a wrapped ErrEvicted when the
-// broker force-detached the subscription, plain ErrStreamEnded otherwise.
-func (s *Sub) endErr() error {
-	if msg := s.evictMsg.Load(); msg != nil {
-		return fmt.Errorf("%w: %s", ErrEvicted, *msg)
-	}
-	return ErrStreamEnded
-}
-
-// Close leaves the group: the subscription's filter is removed from the
-// live engine at a tuple boundary, re-deriving the group for the
-// remaining members, and later deliveries stop. Outputs the group still
-// owes the departed application decide normally; their labels are pruned
-// from the remaining subscribers' deliveries, exactly as on the wire.
-func (s *Sub) Close(ctx context.Context) error {
-	s.leaveOnce.Do(func() { close(s.done) })
-	s.b.mu.RLock()
-	registered := s.b.subs[s.source][s.app] == s
-	s.b.mu.RUnlock()
-	if !registered {
-		// Already detached — by eviction, a failed join's cleanup, or a
-		// previous Close; the engine no longer knows this member.
-		return nil
-	}
-	err := s.b.rt.ControlContext(ctx, s.source, func(e *core.Engine) error { return e.RemoveFilter(s.app) })
-	s.b.dropSubEntry(s)
-	if err != nil {
-		// The source may have finished (or the broker drained)
-		// concurrently; its teardown already retired the whole group.
-		if errors.Is(err, shard.ErrSourceFinished) || errors.Is(err, shard.ErrUnknownSource) || errors.Is(err, shard.ErrDrained) {
-			return nil
-		}
-		return err
-	}
-	return nil
-}
-
-// send enqueues one delivery under the slow-consumer policy. It is
-// called from shard workers; deliveries for one source arrive from one
-// worker at a time, in release order. A blocking send is bounded by
-// Config.EvictTimeout: a subscriber that cannot absorb a delivery
-// within it is evicted (marked departed and detached asynchronously),
-// exactly as the server disconnects a subscriber that cannot absorb a
-// frame within its write timeout — otherwise an abandoned subscription
-// would park the worker forever.
-func (s *Sub) send(d Delivery) {
-	select {
-	case <-s.done:
-		s.dropped.Add(1)
-		return
-	default:
-	}
-	if s.b.cfg.Policy == Drop {
-		select {
-		case s.out <- d:
-		default:
-			s.dropDelivery()
-		}
-		return
-	}
-	if s.gov != nil {
-		// Degrade: sample pressure before the (blocking) hand-off so a
-		// filling queue coarsens the spec before it wedges the worker.
-		s.observePressure()
-	}
-	select {
-	case s.out <- d:
-		return
-	case <-s.done:
-		s.dropped.Add(1)
-		return
-	default:
-	}
-	if s.b.cfg.EvictTimeout < 0 {
-		select {
-		case s.out <- d:
-		case <-s.done:
-			s.dropped.Add(1)
-		}
-		return
-	}
-	t := time.NewTimer(s.b.cfg.EvictTimeout)
-	defer t.Stop()
-	select {
-	case s.out <- d:
-	case <-s.done:
-		s.dropped.Add(1)
-	case <-t.C:
-		s.dropped.Add(1)
-		s.evictAsync(fmt.Sprintf("delivery blocked longer than EvictTimeout (%v)", s.b.cfg.EvictTimeout))
-	}
-}
-
-// dropDelivery counts a drop-policy loss and evicts the subscription once
-// the configured threshold is crossed — a consumer that persistently
-// cannot keep up learns it was cut off instead of losing data silently.
-func (s *Sub) dropDelivery() {
-	n := s.dropped.Add(1)
-	if limit := s.b.cfg.EvictAfterDrops; limit > 0 && n >= uint64(limit) {
-		s.evictAsync(fmt.Sprintf("%d deliveries dropped (limit %d)", n, limit))
-	}
-}
-
-// evictAsync force-detaches the subscription: the eviction reason is
-// latched (so Recv surfaces ErrEvicted rather than a bare stream end),
-// the subscription is marked departed, and the engine-side retraction is
-// handed to a goroutine — it must not run on the calling shard worker,
-// since Control would enqueue into the very ring that worker drains.
-func (s *Sub) evictAsync(reason string) {
-	s.evictOnce.Do(func() {
-		select {
-		case <-s.done:
-			// Already departed (Close, or broker teardown); nothing to
-			// report and nothing left to detach.
-			return
-		default:
-		}
-		msg := reason
-		s.evictMsg.Store(&msg)
-		s.b.evictedSubs.Add(1)
-		s.leaveOnce.Do(func() { close(s.done) })
-		go func() {
-			err := s.b.rt.Control(s.source, func(e *core.Engine) error { return e.RemoveFilter(s.app) })
-			_ = err // the source may already be finishing; teardown retires the group
-			s.b.dropSubEntry(s)
-		}()
-	})
-}
-
-// observePressure feeds the degrade governor one sample (queue occupancy
-// plus delivery p99) and, on a verdict, publishes the new target scale to
-// scaleLoop. Called only from the source's shard worker, which serializes
-// all sends for this subscription, so the governor needs no lock.
-func (s *Sub) observePressure() {
-	var p99 time.Duration
-	if s.lat != nil {
-		p99 = s.lat.Snapshot().P99
-	}
-	scale, changed := s.gov.Observe(time.Now(), len(s.out), cap(s.out), p99)
-	if !changed {
-		return
-	}
-	s.targetScale.Store(math.Float64bits(scale))
-	select {
-	case s.scaleKick <- struct{}{}:
-	default: // a kick is already pending; it will read the newest target
-	}
-}
-
-// scaleLoop applies governor verdicts to the live filter from its own
-// goroutine: SetScale must run on the owning shard worker via Control at
-// a tuple boundary, and calling Control from the worker itself (inside
-// send) would deadlock. Targets are absolute, so coalesced kicks applying
-// only the newest value are correct.
-func (s *Sub) scaleLoop() {
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.fin:
-			return
-		case <-s.scaleKick:
-		}
-		target := math.Float64frombits(s.targetScale.Load())
-		err := s.b.rt.Control(s.source, func(e *core.Engine) error { return s.scalable.SetScale(target) })
-		if err != nil {
-			continue // source finishing or broker draining; nothing to scale
-		}
-		s.applied.Store(math.Float64bits(target))
-	}
-}
-
-// finishStream marks the end of the stream after the source's last
-// flush: pending deliveries remain receivable, then Recv returns
-// ErrStreamEnded. The delivery channel itself is never closed, so even
-// an aborted teardown racing a blocked sink send stays safe.
-func (s *Sub) finishStream() {
-	s.finOnce.Do(func() { close(s.fin) })
-}
-
 // sink receives batched released transmissions from the shard workers
-// and fans each out to the live subscriptions named in its destination
-// list. Per-source calls are serialized by the owning worker, so each
-// subscription's stream arrives in release order. The live-target cache
-// mirrors the server's sink: targets and labels are recomputed only when
-// the membership epoch or the destination pattern changes.
+// and fans each out to the live members named in its destination list.
+// Per-source calls are serialized by the owning worker, so each member's
+// stream arrives in release order, and the per-source caches need no
+// lock. Each transmission is encoded exactly once into a pooled,
+// refcounted frame labeled with the live targets only (departed members
+// stop consuming bytes), appended to the durable log when there is one,
+// and handed to every target queue.
 func (b *Broker) sink(batch []shard.Out) {
 	var fanStart time.Time
 	if b.tel.Sample(telemetry.StageFanout) {
@@ -1110,66 +899,40 @@ func (b *Broker) sink(batch []shard.Out) {
 	}
 	for i := range batch {
 		o := &batch[i]
+		b.transmissions.Add(1)
 		b.mu.RLock()
 		src := b.sources[o.Source]
-		var targets []*Sub
-		var labels []string
+		var st *sinkState
 		if src != nil {
-			st := &src.sink
+			st = &src.sink
 			if st.epoch != src.subEpoch || !slices.Equal(st.inDests, o.Tr.Destinations) {
+				// Membership or overlap pattern changed: recompute the live
+				// targets and their labels. Label order follows the engine's
+				// sorted destination list, so the encoding stays
+				// deterministic.
 				st.epoch, st.inDests = src.subEpoch, o.Tr.Destinations
-				// Fresh slices on recompute: queued Deliveries alias the
-				// previous labels slice, which must stay immutable.
-				st.targets, st.labels = nil, nil
+				st.targets, st.labels = st.targets[:0], st.labels[:0]
 				for _, app := range o.Tr.Destinations {
-					if sub := b.subs[o.Source][app]; sub != nil {
+					if sub := b.subs[o.Source][app]; sub != nil && sub.joined {
 						st.targets = append(st.targets, sub)
 						st.labels = append(st.labels, app)
 					}
 				}
 			}
-			targets, labels = st.targets, st.labels
 		}
 		b.mu.RUnlock()
-		if len(targets) == 0 {
+		if st == nil || len(st.targets) == 0 {
+			// The source is gone, or every addressee already left (their
+			// owed outputs decided after the leave); nothing to encode.
 			continue
 		}
-		// Durable brokers append before fan-out (outside the registry lock;
-		// sinkState is owned by this worker). The log carries exactly the
-		// bytes a networked subscriber receives — the transmission with its
-		// labels pruned to the live group — so replays are byte-equivalent
-		// across transports. An append failure degrades durability, not
-		// delivery: it is counted and the delivery proceeds offset-less.
-		var off uint64
-		if b.log != nil {
-			st := &src.sink
-			payload, err := st.enc.AppendTransmission(st.encBuf[:0], st.epoch, o.Tr.Tuple, labels)
-			if err == nil {
-				st.encBuf = payload
-				off, err = b.log.Append(o.Source, payload)
-			}
-			if err != nil {
-				b.logAppendErrs.Add(1)
-				off = 0
-			}
+		fr := b.encode(o, src)
+		if fr == nil {
+			continue
 		}
-		if b.tel != nil {
-			// The embedded delivery point is the queue hand-off: one
-			// clock read per transmission feeds the group and aggregate
-			// estimators; each target's session estimator sees the same
-			// instant (the enqueue loop below is non-blocking in the
-			// common case).
-			d := time.Since(o.Tr.Tuple.TS)
-			src.lat.Observe(d)
-			for range targets {
-				b.tel.ObserveDelivery(d)
-			}
-			for _, sub := range targets {
-				sub.lat.Observe(d)
-			}
-		}
-		for _, sub := range targets {
-			sub.send(Delivery{Tuple: o.Tr.Tuple, Destinations: labels, Offset: off})
+		fr.Retain(len(st.targets))
+		for _, sub := range st.targets {
+			sub.Send(fr)
 		}
 	}
 	if !fanStart.IsZero() {
@@ -1177,12 +940,64 @@ func (b *Broker) sink(batch []shard.Out) {
 	}
 }
 
+// encode builds the shared frame for one released transmission and, on a
+// durable broker, appends it to the source's log before any member queue
+// sees it: a delivery can never report an offset the log does not hold.
+// The durable record is the exact transmission fanned out — pruned
+// labels included — so a replayed stream is byte-identical to what a
+// live subscriber received. An append failure degrades durability, not
+// delivery: it is counted and logged, and the frame carries offset 0.
+func (b *Broker) encode(o *shard.Out, src *Source) *Frame {
+	st := &src.sink
+	fr := getFrame()
+	kind := KindTransmission
+	if b.log != nil {
+		kind = KindTransmissionOff
+	}
+	buf := BeginFrame(fr.buf, kind)
+	if b.log != nil {
+		// Offset placeholder, patched after the append assigns it.
+		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
+	}
+	buf, err := st.enc.AppendTransmission(buf, st.epoch, o.Tr.Tuple, st.labels)
+	if err != nil {
+		fr.buf = buf[:0]
+		fr.Retain(1)
+		fr.Release()
+		b.lg.Error("encoding transmission", "source", o.Source, "err", err)
+		return nil
+	}
+	fr.buf = EndFrame(buf)
+	if b.log != nil {
+		off, err := b.log.Append(o.Source, fr.buf[FrameHeaderLen+8:])
+		if err != nil {
+			// Recovery truncates whatever half-record the error left.
+			b.appendErrs.Add(1)
+			b.lg.Error("segment log append", "source", o.Source, "err", err)
+			off = 0
+		}
+		binary.LittleEndian.PutUint64(fr.buf[FrameHeaderLen:], off)
+	}
+	if b.tel != nil {
+		fr.ts, fr.src = o.Tr.Tuple.TS.UnixNano(), src.lat
+	}
+	return fr
+}
+
+// Abort releases every shard worker parked in a blocking send and cancels
+// the runtime, so blocked feeds, controls and finish waits unwind. Close
+// calls it when its context expires; a transport that must unblock its
+// own readers before closing the core calls it directly.
+func (b *Broker) Abort() {
+	b.abortOnce.Do(func() { close(b.abort) })
+	b.cancel()
+}
+
 // Close drains the broker: open sources are finished (flushing their
 // tails through their subscribers), the shard runtime drains, and every
-// remaining subscription stream ends. ctx bounds the graceful drain; on
-// expiry the runtime is cancelled and the remaining work aborted.
-// Publishes racing Close fail with an error rather than being silently
-// dropped.
+// remaining member stream ends; buffered deliveries stay receivable.
+// ctx bounds the graceful drain; on expiry the broker aborts. Publishes
+// racing Close fail with an error rather than being silently dropped.
 func (b *Broker) Close(ctx context.Context) error {
 	b.closeOnce.Do(func() { b.closeErr = b.close(ctx) })
 	return b.closeErr
@@ -1190,10 +1005,10 @@ func (b *Broker) Close(ctx context.Context) error {
 
 func (b *Broker) close(ctx context.Context) error {
 	// Stop flow-gap expiry first: Close owns the remaining finishes, and
-	// an eviction racing the drain would only duplicate them.
+	// an expiry racing the drain would only duplicate them.
 	if b.wheel != nil {
-		close(b.evictStop)
-		b.evictWG.Wait()
+		close(b.wheelStop)
+		b.wheelWG.Wait()
 	}
 	b.mu.Lock()
 	b.closed = true
@@ -1228,28 +1043,22 @@ func (b *Broker) close(ctx context.Context) error {
 	select {
 	case drainErr = <-done:
 	case <-ctx.Done():
-		// Hard abort: cancel the runtime so blocked feeds, controls and
-		// finish waits unwind, and mark every subscription departed so a
-		// worker parked in a blocking send (full queue, no consumer) is
-		// released — context cancellation alone cannot reach it.
 		aborted = true
-		b.cancel()
-		b.leaveAll()
+		b.Abort()
 		drainErr = <-done
 	}
 	b.cancel()
 
 	// The workers are gone, so no sink append can race the log close.
-	// Replay goroutines may still be reading — reads work on snapshots
-	// (os.ReadFile), so they are unaffected.
+	// Replays may still be reading — reads work on snapshots (whole-file
+	// reads), so they are unaffected.
 	if b.log != nil {
 		if err := b.log.Close(); err != nil {
 			drainErr = errors.Join(drainErr, err)
 		}
 	}
 
-	// Workers are gone, so no sink flush can race these closes; any
-	// subscription still open gets its stream ended.
+	// Workers are gone, so no sink flush can race these stream ends.
 	b.mu.Lock()
 	var rest []*Sub
 	for _, m := range b.subs {
@@ -1260,42 +1069,29 @@ func (b *Broker) close(ctx context.Context) error {
 	b.subs = make(map[string]map[string]*Sub)
 	b.mu.Unlock()
 	for _, sub := range rest {
-		sub.finishStream()
+		if aborted {
+			sub.leave()
+		}
+		sub.EndStream()
 	}
 	if aborted {
 		// The abort cancelled the runtime on purpose; surfacing the
 		// cancellation itself would make every bounded Close fail.
-		return stripCtxErrs(drainErr)
+		return StripCtxErrs(drainErr)
 	}
 	return drainErr
 }
 
-// leaveAll marks every subscription departed, releasing any shard worker
-// blocked on a full delivery queue.
-func (b *Broker) leaveAll() {
-	b.mu.RLock()
-	var all []*Sub
-	for _, m := range b.subs {
-		for _, sub := range m {
-			all = append(all, sub)
-		}
-	}
-	b.mu.RUnlock()
-	for _, sub := range all {
-		sub.leaveOnce.Do(func() { close(sub.done) })
-	}
-}
-
-// stripCtxErrs removes context-cancellation errors from a (possibly
+// StripCtxErrs removes context-cancellation errors from a (possibly
 // joined) error tree, keeping real failures.
-func stripCtxErrs(err error) error {
+func StripCtxErrs(err error) error {
 	if err == nil {
 		return nil
 	}
 	if joined, ok := err.(interface{ Unwrap() []error }); ok {
 		var keep []error
 		for _, e := range joined.Unwrap() {
-			if e = stripCtxErrs(e); e != nil {
+			if e = StripCtxErrs(e); e != nil {
 				keep = append(keep, e)
 			}
 		}
@@ -1306,3 +1102,14 @@ func stripCtxErrs(err error) error {
 	}
 	return err
 }
+
+// ignorableLeave reports errors of an engine retraction that mean the
+// group is already gone: the source finished (or was removed) or the
+// runtime drained, and its teardown retired the whole group.
+func ignorableLeave(err error) bool {
+	return errors.Is(err, shard.ErrSourceFinished) || errors.Is(err, shard.ErrUnknownSource) || errors.Is(err, shard.ErrDrained)
+}
+
+// ErrReplayAborted marks a replay cut short by the member's own
+// departure — an orderly exit, not a failure.
+var ErrReplayAborted = errors.New("broker: replay aborted by departure")

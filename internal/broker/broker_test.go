@@ -419,7 +419,7 @@ func TestSourceEviction(t *testing.T) {
 	if got == 0 {
 		t.Error("published deliveries lost to eviction")
 	}
-	if n := b.Evicted(); n != 1 {
+	if n := b.Stats().SourcesExpired; n != 1 {
 		t.Errorf("Evicted = %d, want 1 (only the silent source)", n)
 	}
 	// Survivors still work.

@@ -132,6 +132,9 @@ func TestDegradeRestoreEquivalence(t *testing.T) {
 	const tail = 150
 	publishVal(t, ctx, src, n1, fenceVal)
 	for j := 1; j <= tail; j++ {
+		// Paced like phase 2: an unpaced tail outruns a consumer slowed by
+		// the race detector, and the governor then rightly degrades again.
+		time.Sleep(2 * time.Millisecond)
 		publishVal(t, ctx, src, n1+j, fenceVal+float64(j))
 	}
 	if err := src.Finish(ctx); err != nil {

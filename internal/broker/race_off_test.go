@@ -1,6 +1,6 @@
 //go:build !race
 
-package server
+package broker
 
 // raceEnabled reports whether the test binary carries the race detector;
 // see race_on_test.go.

@@ -1,6 +1,6 @@
 //go:build race
 
-package server
+package broker
 
 // raceEnabled reports that this test binary was built with the race
 // detector, which deliberately randomizes sync.Pool (Puts are dropped a

@@ -1,4 +1,4 @@
-package server
+package broker
 
 import (
 	"testing"
@@ -11,11 +11,11 @@ import (
 	"gasf/internal/wire"
 )
 
-// sinkFixture builds a Server with registries only — no listener, no
+// sinkFixture builds a Broker with registries only — no runtime, no
 // goroutines — so the fan-out path can be driven deterministically.
 type sinkFixture struct {
-	s      *Server
-	src    *sourceSession
+	b      *Broker
+	src    *Source
 	schema *tuple.Schema
 }
 
@@ -25,37 +25,39 @@ func newSinkFixture(t *testing.T) *sinkFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Policy: PolicyDrop, Logf: t.Logf}.withDefaults()
+	cfg := Config{Policy: Drop}.withDefaults()
 	// Telemetry sampling every event: the fan-out alloc gate below must
 	// hold with the stage timers fully hot, not just at the default
 	// 1-in-64 sampling.
-	s := &Server{
+	b := &Broker{
 		cfg:     cfg,
-		lg:      cfg.resolveLogger(),
+		lg:      cfg.Logger,
+		abort:   make(chan struct{}),
 		tel:     telemetry.New(1),
-		sources: make(map[string]*sourceSession),
-		subs:    make(map[string]map[string]*subscriber),
+		sources: make(map[string]*Source),
+		subs:    make(map[string]map[string]*Sub),
 	}
-	src := &sourceSession{name: "s1", schema: schema, lat: telemetry.NewLatencyPair()}
-	s.sources["s1"] = src
-	s.subs["s1"] = make(map[string]*subscriber)
-	return &sinkFixture{s: s, src: src, schema: schema}
+	src := &Source{b: b, name: "s1", schema: schema, lat: telemetry.NewLatencyPair()}
+	b.sources["s1"] = src
+	b.subs["s1"] = make(map[string]*Sub)
+	return &sinkFixture{b: b, src: src, schema: schema}
 }
 
-// subscribe registers a queue-only subscriber session.
-func (fx *sinkFixture) subscribe(app string, queue int) *subscriber {
-	sub := newSubscriber(fx.s, app, "s1", nil, queue)
-	fx.s.mu.Lock()
-	fx.s.subs["s1"][app] = sub
+// subscribe registers a queue-only member.
+func (fx *sinkFixture) subscribe(app string, queue int) *Sub {
+	sub := fx.b.newSub(app, "s1", fx.schema, queue)
+	sub.joined = true
+	fx.b.mu.Lock()
+	fx.b.subs["s1"][app] = sub
 	fx.src.subEpoch++
-	fx.s.mu.Unlock()
+	fx.b.mu.Unlock()
 	return sub
 }
 
-// unsubscribe removes the registry entry the way removeSubscriber does.
-func (fx *sinkFixture) unsubscribe(sub *subscriber) {
+// unsubscribe removes the registry entry the way a departure does.
+func (fx *sinkFixture) unsubscribe(sub *Sub) {
 	sub.leave()
-	fx.s.dropSubscriberEntry(sub)
+	fx.b.dropSubEntry(sub)
 }
 
 func (fx *sinkFixture) out(t *testing.T, seq int, dests ...string) shard.Out {
@@ -68,18 +70,11 @@ func (fx *sinkFixture) out(t *testing.T, seq int, dests ...string) shard.Out {
 	return shard.Out{Source: "s1", Tr: core.Transmission{Tuple: tp, Destinations: dests, ReleasedAt: ts}}
 }
 
-// take pops one release-cycle batch from a subscriber queue, asserts it
-// carries exactly one frame, and returns that frame without releasing
-// it (the batch itself is recycled, as the writer would).
-func take(t *testing.T, sub *subscriber) *frame {
+// take pops one frame from a member queue without releasing it.
+func take(t *testing.T, sub *Sub) *Frame {
 	t.Helper()
 	select {
-	case b := <-sub.out:
-		if len(b.frames) != 1 {
-			t.Fatalf("cycle batch carries %d frames, want 1", len(b.frames))
-		}
-		fr := b.frames[0]
-		putBatch(b)
+	case fr := <-sub.out:
 		return fr
 	default:
 		t.Fatal("no frame queued")
@@ -88,17 +83,17 @@ func take(t *testing.T, sub *subscriber) *frame {
 }
 
 // decodeFrame decodes a transmission frame into tuple and destinations.
-func decodeFrame(t *testing.T, fx *sinkFixture, fr *frame) (*tuple.Tuple, []string) {
+func decodeFrame(t *testing.T, fx *sinkFixture, fr *Frame) (*tuple.Tuple, []string) {
 	t.Helper()
-	if len(fr.buf) < frameHeaderLen || fr.buf[0] != FrameTransmission {
+	if len(fr.buf) < FrameHeaderLen || fr.buf[0] != KindTransmission {
 		t.Fatalf("bad frame: %v", fr.buf)
 	}
-	tp, dests, n, err := wire.DecodeTransmission(fx.schema, fr.buf[frameHeaderLen:])
+	tp, dests, n, err := wire.DecodeTransmission(fx.schema, fr.buf[FrameHeaderLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(fr.buf)-frameHeaderLen {
-		t.Fatalf("frame carries %d trailing bytes", len(fr.buf)-frameHeaderLen-n)
+	if n != len(fr.buf)-FrameHeaderLen {
+		t.Fatalf("frame carries %d trailing bytes", len(fr.buf)-FrameHeaderLen-n)
 	}
 	return tp, dests
 }
@@ -113,7 +108,7 @@ func TestSinkEncodesOnlyLiveLabels(t *testing.T) {
 	subB := fx.subscribe("b", 16)
 
 	// Both live: the frame carries both labels.
-	fx.s.sink([]shard.Out{fx.out(t, 1, "a", "b")})
+	fx.b.sink([]shard.Out{fx.out(t, 1, "a", "b")})
 	frA, frB := take(t, subA), take(t, subB)
 	if frA != frB {
 		t.Fatal("fan-out did not share one frame across subscriber queues")
@@ -123,12 +118,12 @@ func TestSinkEncodesOnlyLiveLabels(t *testing.T) {
 		t.Fatalf("live labels %v, want [a b]", dests)
 	}
 	bothLen := len(frA.buf)
-	frA.release()
-	frB.release()
+	frA.Release()
+	frB.Release()
 
 	// b departs; the engine still owes it an output decided earlier.
 	fx.unsubscribe(subB)
-	fx.s.sink([]shard.Out{fx.out(t, 2, "a", "b")})
+	fx.b.sink([]shard.Out{fx.out(t, 2, "a", "b")})
 	fr := take(t, subA)
 	tp, dests := decodeFrame(t, fx, fr)
 	if tp.Seq != 2 {
@@ -142,13 +137,13 @@ func TestSinkEncodesOnlyLiveLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(fr.buf) - frameHeaderLen; got != len(want) {
+	if got := len(fr.buf) - FrameHeaderLen; got != len(want) {
 		t.Fatalf("frame payload %d bytes, want %d (single live label)", got, len(want))
 	}
 	if len(fr.buf) >= bothLen {
 		t.Fatalf("frame with departed label (%dB) not smaller than dual-label frame (%dB)", len(fr.buf), bothLen)
 	}
-	fr.release()
+	fr.Release()
 
 	// Nothing was queued for the departed subscriber.
 	select {
@@ -164,19 +159,19 @@ func TestSinkEncodesOnlyLiveLabels(t *testing.T) {
 func TestSinkEpochInvalidatesCache(t *testing.T) {
 	fx := newSinkFixture(t)
 	subA := fx.subscribe("a", 16)
-	fx.s.sink([]shard.Out{fx.out(t, 1, "a", "b")})
-	take(t, subA).release()
+	fx.b.sink([]shard.Out{fx.out(t, 1, "a", "b")})
+	take(t, subA).Release()
 
 	// b joins between two transmissions with the same destination list.
 	subB := fx.subscribe("b", 16)
-	fx.s.sink([]shard.Out{fx.out(t, 2, "a", "b")})
+	fx.b.sink([]shard.Out{fx.out(t, 2, "a", "b")})
 	frA, frB := take(t, subA), take(t, subB)
 	_, dests := decodeFrame(t, fx, frB)
 	if len(dests) != 2 {
 		t.Fatalf("labels %v after rejoin, want both", dests)
 	}
-	frA.release()
-	frB.release()
+	frA.Release()
+	frB.Release()
 }
 
 // TestSinkSourceGone covers flushes racing a finished source: no frames,
@@ -184,10 +179,10 @@ func TestSinkEpochInvalidatesCache(t *testing.T) {
 func TestSinkSourceGone(t *testing.T) {
 	fx := newSinkFixture(t)
 	sub := fx.subscribe("a", 16)
-	fx.s.mu.Lock()
-	delete(fx.s.sources, "s1")
-	fx.s.mu.Unlock()
-	fx.s.sink([]shard.Out{fx.out(t, 1, "a")})
+	fx.b.mu.Lock()
+	delete(fx.b.sources, "s1")
+	fx.b.mu.Unlock()
+	fx.b.sink([]shard.Out{fx.out(t, 1, "a")})
 	select {
 	case <-sub.out:
 		t.Fatal("frame delivered for a retired source")
@@ -195,45 +190,40 @@ func TestSinkSourceGone(t *testing.T) {
 	}
 }
 
-// TestSinkBatchHandoff pins the per-cycle hand-off contract: one sink
-// flush carrying several transmissions reaches each subscriber as ONE
-// queued batch holding all of its frames in release order, not one
-// queue entry per frame.
+// TestSinkBatchHandoff pins the per-flush hand-off contract: one sink
+// flush carrying several transmissions reaches each member queue as all
+// of its frames in release order, each transmission's one frame shared
+// across the members it is addressed to.
 func TestSinkBatchHandoff(t *testing.T) {
 	fx := newSinkFixture(t)
 	subA := fx.subscribe("a", 16)
 	subB := fx.subscribe("b", 16)
-	fx.s.sink([]shard.Out{
+	fx.b.sink([]shard.Out{
 		fx.out(t, 1, "a", "b"),
 		fx.out(t, 2, "a"),
 		fx.out(t, 3, "a", "b"),
 	})
-	bA := <-subA.out
-	if got := len(bA.frames); got != 3 {
-		t.Fatalf("a's cycle batch carries %d frames, want 3", got)
+	if got := len(subA.out); got != 3 {
+		t.Fatalf("a's queue holds %d frames, want 3", got)
 	}
+	var bA []*Frame
 	for i, want := range []int{1, 2, 3} {
-		tp, _ := decodeFrame(t, fx, bA.frames[i])
+		bA = append(bA, take(t, subA))
+		tp, _ := decodeFrame(t, fx, bA[i])
 		if tp.Seq != want {
 			t.Fatalf("a's frame %d is seq %d, want %d (release order)", i, tp.Seq, want)
 		}
 	}
-	bB := <-subB.out
-	if got := len(bB.frames); got != 2 {
-		t.Fatalf("b's cycle batch carries %d frames, want 2", got)
+	if got := len(subB.out); got != 2 {
+		t.Fatalf("b's queue holds %d frames, want 2", got)
 	}
-	if bA.frames[0] != bB.frames[0] || bA.frames[2] != bB.frames[1] {
-		t.Fatal("fan-out did not share frames across subscriber batches")
+	bB := []*Frame{take(t, subB), take(t, subB)}
+	if bA[0] != bB[0] || bA[2] != bB[1] {
+		t.Fatal("fan-out did not share frames across member queues")
 	}
-	select {
-	case <-subA.out:
-		t.Fatal("subscriber a got more than one queue entry for one cycle")
-	case <-subB.out:
-		t.Fatal("subscriber b got more than one queue entry for one cycle")
-	default:
+	for _, fr := range append(bA, bB...) {
+		fr.Release()
 	}
-	bA.releaseAll()
-	bB.releaseAll()
 }
 
 // TestSinkFanoutAllocs is the §8 regression gate for the shared-frame
@@ -246,18 +236,18 @@ func TestSinkFanoutAllocs(t *testing.T) {
 	subB := fx.subscribe("b", 4)
 	batch := []shard.Out{fx.out(t, 1, "a", "b")}
 	cycle := func() {
-		fx.s.sink(batch)
-		take(t, subA).release()
-		take(t, subB).release()
+		fx.b.sink(batch)
+		take(t, subA).Release()
+		take(t, subB).Release()
 	}
 	for i := 0; i < 100; i++ {
 		cycle()
 	}
 	avg := testing.AllocsPerRun(2000, cycle)
 	// Under -race, sync.Pool drops a quarter of its Puts by design, so
-	// the pooled frame/batch/scratch round-trips (4 per cycle) show up as
-	// allocations; the widened budget still catches per-frame or
-	// per-subscriber allocation regressions.
+	// the pooled frame round-trip shows up as allocations; the widened
+	// budget still catches per-frame or per-subscriber allocation
+	// regressions.
 	budget := 0.5
 	if raceEnabled {
 		budget = 4.5

@@ -465,71 +465,98 @@ func (sl *sourceLog) rotate(opts Options) error {
 // NextOffset-or-higher reads to the snapshot end. fn returning an error
 // stops the replay and surfaces it.
 func (l *Log) Read(source string, from, to uint64, fn func(offset uint64, payload []byte) error) error {
-	sl := l.get(source)
-	sl.mu.Lock()
-	segs := append([]segment(nil), sl.segs...)
-	end := sl.next
-	activeSize := sl.size
-	sl.mu.Unlock()
-	if to > end {
-		to = end
-	}
-	if from >= to {
-		return nil
-	}
-	for i, seg := range segs {
-		// Skip segments wholly before the range.
-		if i+1 < len(segs) && segs[i+1].first <= from {
-			continue
-		}
-		if seg.first >= to {
+	c := l.Cursor(source, from, to)
+	for {
+		off, payload, err := c.Next()
+		if err == io.EOF {
 			return nil
 		}
-		limit := int64(-1) // whole file
-		if i == len(segs)-1 {
-			limit = activeSize // never past the committed snapshot
+		if err != nil {
+			return err
 		}
-		done, err := readSegment(seg, limit, from, to, fn)
-		if err != nil || done {
+		if err := fn(off, payload); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
-// readSegment streams one segment's records through fn, honoring the
-// [from, to) window; done reports that the window end was reached.
-func readSegment(seg segment, limit int64, from, to uint64, fn func(uint64, []byte) error) (done bool, err error) {
-	data, err := os.ReadFile(seg.path)
-	if err != nil {
-		return false, fmt.Errorf("seglog: %w", err)
+// Cursor is a pull iterator over a snapshot of one source's records in
+// [from, to), for readers that consume history one record at a time
+// (a subscription's Recv) instead of inside a callback. It holds at most
+// one segment's bytes at a time.
+type Cursor struct {
+	segs     []segment
+	active   int64 // committed size of the last segment at snapshot time
+	from, to uint64
+	seg      int    // index of the next segment to load
+	data     []byte // the loaded segment, nil before the first Next
+	pos      int
+}
+
+// Cursor snapshots the source's segment chain, exactly as Read does.
+func (l *Log) Cursor(source string, from, to uint64) *Cursor {
+	sl := l.get(source)
+	sl.mu.Lock()
+	c := &Cursor{segs: append([]segment(nil), sl.segs...), active: sl.size, from: from, to: min(to, sl.next)}
+	sl.mu.Unlock()
+	// Skip segments wholly before the range.
+	for c.seg+1 < len(c.segs) && c.segs[c.seg+1].first <= from {
+		c.seg++
 	}
-	if limit >= 0 && int64(len(data)) > limit {
-		// The file grew past the snapshot (concurrent appends): read only
-		// the committed prefix.
-		data = data[:limit]
-	}
-	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
-		return false, fmt.Errorf("seglog: segment %s lost its magic", seg.path)
-	}
-	pos := len(Magic)
-	for pos < len(data) {
-		off, payload, n, err := DecodeRecord(data[pos:])
-		if err != nil {
-			return false, fmt.Errorf("seglog: segment %s: %w", seg.path, err)
-		}
-		pos += n
-		if off < from {
+	return c
+}
+
+// Next returns the next record in range; the payload view is valid until
+// the following Next. It returns io.EOF once the range is exhausted.
+func (c *Cursor) Next() (uint64, []byte, error) {
+	for c.from < c.to {
+		if c.pos >= len(c.data) {
+			if err := c.load(); err != nil {
+				return 0, nil, err
+			}
 			continue
 		}
-		if off >= to {
-			return true, nil
+		off, payload, n, err := DecodeRecord(c.data[c.pos:])
+		if err != nil {
+			return 0, nil, fmt.Errorf("seglog: segment %s: %w", c.segs[c.seg-1].path, err)
 		}
-		if err := fn(off, payload); err != nil {
-			return true, err
+		c.pos += n
+		if off < c.from {
+			continue
 		}
+		if off >= c.to {
+			c.from = c.to
+			break
+		}
+		c.from = off + 1
+		return off, payload, nil
 	}
-	return false, nil
+	c.data = nil
+	return 0, nil, io.EOF
+}
+
+// load reads the next segment of the snapshot.
+func (c *Cursor) load() error {
+	if c.seg >= len(c.segs) || c.segs[c.seg].first >= c.to {
+		c.from = c.to
+		return nil
+	}
+	seg := c.segs[c.seg]
+	c.seg++
+	data, err := os.ReadFile(seg.path)
+	if err != nil {
+		return fmt.Errorf("seglog: %w", err)
+	}
+	if c.seg == len(c.segs) && int64(len(data)) > c.active {
+		// The file grew past the snapshot (concurrent appends): read only
+		// the committed prefix.
+		data = data[:c.active]
+	}
+	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
+		return fmt.Errorf("seglog: segment %s lost its magic", seg.path)
+	}
+	c.data, c.pos = data, len(Magic)
+	return nil
 }
 
 // syncLoop is the SyncInterval background syncer.

@@ -12,8 +12,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
+	"gasf/internal/broker"
 	"gasf/internal/tuple"
 	"gasf/internal/wire"
 )
@@ -165,12 +167,12 @@ func (p *Publisher) publishLocked(t *tuple.Tuple) error {
 	}
 	// Encode the frame in place into the publisher's recycled buffer and
 	// ship it with a single write: no per-publish allocation, one syscall.
-	buf := beginFrame(p.buf[:0], FrameTuple)
+	buf := broker.BeginFrame(p.buf[:0], FrameTuple)
 	buf, err := wire.AppendTuple(buf, t)
 	if err != nil {
 		return err
 	}
-	p.buf = endFrame(buf)
+	p.buf = broker.EndFrame(buf)
 	if _, err := p.conn.Write(p.buf); err != nil {
 		return fmt.Errorf("server: publishing: %w", err)
 	}
@@ -674,10 +676,11 @@ func (c *Subscriber) Leave(ctx context.Context) error {
 			kind, payload, err := ReadFrameInto(c.br, c.buf)
 			c.buf = payload[:cap(payload)]
 			if err != nil {
-				if errors.Is(err, io.EOF) {
+				if errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) {
 					// The server closes without an ack when the stream
 					// already ended server-side; the group is re-derived
-					// either way.
+					// either way. A reset is the same close racing our
+					// goodbye (the goodbye landed on a closed socket).
 					return nil
 				}
 				return fmt.Errorf("server: awaiting departure ack: %w", err)
@@ -724,21 +727,16 @@ func remoteError(payload []byte) error {
 // the requested resume cannot be served: the server has no durable log,
 // the offset lies beyond the log head, or an edge node delegates resume
 // to its upstream relay leg. Reconnect-aware dialers fall back to a
-// plain live re-subscription on it.
-//
-// The sentinel's message doubles as the machine-readable wire tag:
-// servers wrap it with fmt.Errorf("%w: detail", ...), so the error
-// frame renders as "resume unavailable: detail", and rejectedError
-// re-types the payload by cutting that exact prefix. Match with
-// errors.Is, never by prose.
-var ErrResumeUnavailable = errors.New("resume unavailable")
+// plain live re-subscription on it. It is the session core's sentinel,
+// whose message doubles as the wire tag rejectedError re-types.
+var ErrResumeUnavailable = broker.ErrResumeUnavailable
 
 // ErrAlreadySubscribed reports a subscriber handshake rejected because
 // the (app, source) pair is already held by a live session. It is
 // transient while a departure ack is in flight, so dialers re-creating
 // a session for a departing one may retry it briefly. Tagged on the
 // wire exactly like ErrResumeUnavailable.
-var ErrAlreadySubscribed = errors.New("already subscribed")
+var ErrAlreadySubscribed = broker.ErrAlreadySubscribed
 
 // rejectedError types a handshake rejection payload: resume and
 // subscription-conflict rejections carry their sentinel's message as a

@@ -106,7 +106,7 @@ func (s *Server) Debug() DebugInfo {
 	}
 	if s.wheel != nil {
 		fg := &DebugFlowGap{
-			ScanInterval:  s.cfg.ScanInterval,
+			ScanInterval:  s.b.Config().ScanInterval,
 			SourceTimeout: s.cfg.SourceTimeout,
 			Wheel:         s.wheel.Stats(),
 			Sketch:        s.sketch.Stats(),
@@ -115,6 +115,11 @@ func (s *Server) Debug() DebugInfo {
 		fg.ExpiryLag = &lag
 		info.FlowGap = fg
 	}
+	subs := s.b.Subs()
+	members := make(map[string]int)
+	for _, m := range subs {
+		members[m.Source()]++
+	}
 	s.mu.RLock()
 	for name, src := range s.sources {
 		d := DebugSource{
@@ -122,8 +127,8 @@ func (s *Server) Debug() DebugInfo {
 			// Liveness is tracked in wheel ticks; the instant shown is
 			// the start of the last-touch tick (zero when expiry is
 			// disabled and liveness untracked).
-			LastSeen:    s.wheel.TickTime(src.gap.LastTouch()),
-			Subscribers: len(s.subs[name]),
+			LastSeen:    src.src.LastSeen(),
+			Subscribers: members[name],
 		}
 		if src.conn != nil {
 			d.Remote = src.conn.RemoteAddr().String()
@@ -131,33 +136,29 @@ func (s *Server) Debug() DebugInfo {
 		if s.log != nil {
 			d.NextOffset = s.log.NextOffset(name)
 		}
-		if src.lat != nil {
-			snap := src.lat.Snapshot()
+		if s.tel != nil {
+			snap := src.src.Latency()
 			d.Latency = &snap
 		}
 		info.Sources = append(info.Sources, d)
 	}
-	for source, m := range s.subs {
-		for app, sub := range m {
-			d := DebugSubscriber{
-				App:        app,
-				Source:     source,
-				QueueLen:   len(sub.out),
-				QueueCap:   cap(sub.out),
-				Dropped:    sub.droppedCount(),
-				Resume:     sub.resume,
-				ResumeFrom: sub.resumeFrom,
-				SpliceTo:   sub.spliceTo,
-			}
-			if sub.relayEdge != "" {
-				d.RelayEdge = sub.relayEdge
-			}
-			if sub.lat != nil {
-				snap := sub.lat.Snapshot()
-				d.Latency = &snap
-			}
-			info.Subscribers = append(info.Subscribers, d)
+	for _, m := range subs {
+		d := DebugSubscriber{
+			App:      m.App(),
+			Source:   m.Source(),
+			QueueLen: m.QueueLen(),
+			QueueCap: m.QueueDepth(),
+			Dropped:  m.Dropped(),
 		}
+		if sub := s.subs[m]; sub != nil {
+			d.RelayEdge = sub.relayEdge
+		}
+		d.Resume, d.ResumeFrom, d.SpliceTo = m.Resume()
+		if s.tel != nil {
+			snap := m.Latency()
+			d.Latency = &snap
+		}
+		info.Subscribers = append(info.Subscribers, d)
 	}
 	s.mu.RUnlock()
 	if s.cfg.Federation.Role != federate.RoleSingle {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gasf/internal/broker"
 	"gasf/internal/tuple"
 )
 
@@ -230,15 +231,14 @@ func TestResumeSplice(t *testing.T) {
 // TestFramePoolBalancedUnderChurn is the frame-leak detector: with the
 // pool ledger enabled, a drop-heavy churn storm (slow subscribers under
 // the drop policy, joiners and leavers mid-stream) must return every
-// frame and every batch to the pool by the time the server has shut
-// down — gets == puts, or some path stranded a reference.
+// frame to the pool by the time the server has shut down — gets ==
+// puts, or some path stranded a reference.
 func TestFramePoolBalancedUnderChurn(t *testing.T) {
-	frameStats.enabled.Store(true)
-	t.Cleanup(func() { frameStats.enabled.Store(false) })
-	baseFG, baseFP := frameStats.frameGets.Load(), frameStats.framePuts.Load()
-	baseBG, baseBP := frameStats.batchGets.Load(), frameStats.batchPuts.Load()
+	broker.FrameStats.Enabled.Store(true)
+	t.Cleanup(func() { broker.FrameStats.Enabled.Store(false) })
+	baseFG, baseFP := broker.FrameStats.Gets.Load(), broker.FrameStats.Puts.Load()
 
-	s, err := Start(Config{Policy: PolicyDrop, SubscriberQueue: 1, Logf: t.Logf})
+	s, err := Start(Config{Policy: broker.Drop, SubscriberQueue: 1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,16 +314,12 @@ func TestFramePoolBalancedUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fg, fp := frameStats.frameGets.Load()-baseFG, frameStats.framePuts.Load()-baseFP
-	bg, bp := frameStats.batchGets.Load()-baseBG, frameStats.batchPuts.Load()-baseBP
+	fg, fp := broker.FrameStats.Gets.Load()-baseFG, broker.FrameStats.Puts.Load()-baseFP
 	if fg != fp {
 		t.Errorf("frame pool leak: %d gets, %d puts (%d stranded)", fg, fp, int64(fg)-int64(fp))
 	}
-	if bg != bp {
-		t.Errorf("batch pool leak: %d gets, %d puts (%d stranded)", bg, bp, int64(bg)-int64(bp))
-	}
-	if fg == 0 || bg == 0 {
-		t.Errorf("ledger recorded no traffic (frames %d, batches %d); the storm did not exercise the pool", fg, bg)
+	if fg == 0 {
+		t.Errorf("ledger recorded no traffic (frames %d); the storm did not exercise the pool", fg)
 	}
 }
 
@@ -336,7 +332,7 @@ func TestFramePoolBalancedUnderChurn(t *testing.T) {
 func TestSyncedSourceSurvivesGapScan(t *testing.T) {
 	const tuples = 6000
 	srv := startServer(t, Config{
-		Policy:            PolicyBlock,
+		Policy:            broker.Block,
 		SubscriberQueue:   1,
 		SourceTimeout:     200 * time.Millisecond,
 		HeartbeatInterval: 50 * time.Millisecond,

@@ -7,15 +7,6 @@ import (
 	"strings"
 )
 
-// discardHandler drops every record (go 1.22 predates
-// slog.DiscardHandler).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
 // logfHandler bridges structured records onto a printf-style sink, so
 // the legacy Config.Logf (and t.Logf in tests) keeps receiving one line
 // per session event after the server's logging moved to log/slog.
@@ -50,13 +41,11 @@ func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
 func (h logfHandler) WithGroup(string) slog.Handler { return h }
 
 // resolveLogger picks the session logger: an explicit Logger wins, a
-// printf sink is bridged, silence is the default.
+// printf sink is bridged, and nil leaves the session core's silent
+// default.
 func (c Config) resolveLogger() *slog.Logger {
-	if c.Logger != nil {
-		return c.Logger
-	}
-	if c.Logf != nil {
+	if c.Logger == nil && c.Logf != nil {
 		return slog.New(logfHandler{f: c.Logf})
 	}
-	return slog.New(discardHandler{})
+	return c.Logger
 }

@@ -12,22 +12,19 @@ import (
 	"gasf/internal/telemetry"
 )
 
-// counters is the server's atomic counter block.
+// counters is the server's atomic counter block for the socket side;
+// fan-out, drop, eviction, QoS, log-append and expiry counts come from
+// the session core's Stats.
 type counters struct {
 	sourcesAccepted     atomic.Uint64
 	sourcesFinished     atomic.Uint64
-	sourcesExpired      atomic.Uint64
 	sourcesFailed       atomic.Uint64
 	subscribersAccepted atomic.Uint64
-	subscriberDrops     atomic.Uint64
 	handshakeRejects    atomic.Uint64
 	tuplesIn            atomic.Uint64
-	transmissionsOut    atomic.Uint64
-	deliveriesOut       atomic.Uint64
 	bytesIn             atomic.Uint64
 	bytesOut            atomic.Uint64
 	heartbeatsIn        atomic.Uint64
-	logAppendErrors     atomic.Uint64
 	replaysServed       atomic.Uint64
 	replayRecordsOut    atomic.Uint64
 	// Session closures split by cause (one increment per finished
@@ -39,10 +36,6 @@ type counters struct {
 	closedFinished   atomic.Uint64
 	gapReconnects    atomic.Uint64
 	gapNotifications atomic.Uint64
-	// Degrade-policy control actions and drop-threshold evictions.
-	qosDegrades         atomic.Uint64
-	qosRestores         atomic.Uint64
-	subscriberEvictions atomic.Uint64
 	// Federation: upstream-leg lifecycle on an edge (dials, redials,
 	// resumed redials, relayed transmission frames) and relay-leg
 	// sessions accepted on a core.
@@ -93,11 +86,9 @@ type Counters struct {
 func (s *Server) Counters() Counters {
 	s.mu.RLock()
 	srcs := len(s.sources)
-	subs := 0
-	for _, m := range s.subs {
-		subs += len(m)
-	}
 	s.mu.RUnlock()
+	subs := len(s.b.Subs())
+	st := s.b.Stats()
 	if s.fed != nil {
 		// Relay members live outside the registry (they share app names
 		// by design); the leg registry is their census.
@@ -109,18 +100,18 @@ func (s *Server) Counters() Counters {
 		SubscribersActive:   subs,
 		SourcesAccepted:     s.ctr.sourcesAccepted.Load(),
 		SourcesFinished:     s.ctr.sourcesFinished.Load(),
-		SourcesExpired:      s.ctr.sourcesExpired.Load(),
+		SourcesExpired:      st.SourcesExpired,
 		SourcesFailed:       s.ctr.sourcesFailed.Load(),
 		SubscribersAccepted: s.ctr.subscribersAccepted.Load(),
-		SubscriberDrops:     s.ctr.subscriberDrops.Load(),
+		SubscriberDrops:     st.Drops,
 		HandshakeRejects:    s.ctr.handshakeRejects.Load(),
 		TuplesIn:            s.ctr.tuplesIn.Load(),
-		TransmissionsOut:    s.ctr.transmissionsOut.Load(),
-		DeliveriesOut:       s.ctr.deliveriesOut.Load(),
+		TransmissionsOut:    st.Transmissions,
+		DeliveriesOut:       st.Deliveries,
 		BytesIn:             s.ctr.bytesIn.Load(),
 		BytesOut:            s.ctr.bytesOut.Load(),
 		HeartbeatsIn:        s.ctr.heartbeatsIn.Load(),
-		LogAppendErrors:     s.ctr.logAppendErrors.Load(),
+		LogAppendErrors:     st.LogAppendErrors,
 		ReplaysServed:       s.ctr.replaysServed.Load(),
 		ReplayRecordsOut:    s.ctr.replayRecordsOut.Load(),
 		ClosedFlowGap:       s.ctr.closedFlowGap.Load(),
@@ -129,9 +120,9 @@ func (s *Server) Counters() Counters {
 		ClosedFinished:      s.ctr.closedFinished.Load(),
 		GapReconnects:       s.ctr.gapReconnects.Load(),
 		GapNotifications:    s.ctr.gapNotifications.Load(),
-		QoSDegrades:         s.ctr.qosDegrades.Load(),
-		QoSRestores:         s.ctr.qosRestores.Load(),
-		SubscriberEvictions: s.ctr.subscriberEvictions.Load(),
+		QoSDegrades:         st.QoSDegrades,
+		QoSRestores:         st.QoSRestores,
+		SubscriberEvictions: st.Evictions,
 		FedLegDials:         s.ctr.fedLegDials.Load(),
 		FedLegRedials:       s.ctr.fedLegRedials.Load(),
 		FedLegResumes:       s.ctr.fedLegResumes.Load(),
@@ -328,8 +319,8 @@ func (s *Server) groupLatencies() []groupLatency {
 	s.mu.RLock()
 	out := make([]groupLatency, 0, len(s.sources))
 	for name, src := range s.sources {
-		if src.lat != nil {
-			out = append(out, groupLatency{name: name, snap: src.lat.Snapshot()})
+		if s.tel != nil {
+			out = append(out, groupLatency{name: name, snap: src.src.Latency()})
 		}
 	}
 	s.mu.RUnlock()

@@ -34,6 +34,7 @@ import (
 	"io"
 	"math"
 
+	"gasf/internal/broker"
 	"gasf/internal/tuple"
 	"gasf/internal/wire"
 )
@@ -52,8 +53,8 @@ const (
 	// FrameTuple carries one wire-encoded tuple (source -> server).
 	FrameTuple byte = 5
 	// FrameTransmission carries one wire-encoded labeled transmission
-	// (server -> subscriber).
-	FrameTransmission byte = 6
+	// (server -> subscriber), encoded by the session core.
+	FrameTransmission = broker.KindTransmission
 	// FrameHeartbeat is an empty liveness frame.
 	FrameHeartbeat byte = 7
 	// FrameGoodbye announces a graceful end of stream. An empty payload
@@ -76,7 +77,7 @@ const (
 	// subscriber). A durable server sends all transmissions in this
 	// form so every delivery names the checkpoint to resume after;
 	// non-durable servers keep the offset-less FrameTransmission.
-	FrameTransmissionOff byte = 11
+	FrameTransmissionOff = broker.KindTransmissionOff
 	// FrameQoS announces a quality-of-service change to a subscriber
 	// (server -> subscriber) under the degrade slow-consumer policy: the
 	// payload is the u64 little-endian bit pattern of the float64
@@ -118,7 +119,7 @@ const SubProtoVersionRelay = 3
 const MaxFramePayload = 1 << 20
 
 // frameHeaderLen is the encoded size of a frame header.
-const frameHeaderLen = 1 + 4
+const frameHeaderLen = broker.FrameHeaderLen
 
 // AppendFrame appends a framed payload to buf.
 func AppendFrame(buf []byte, kind byte, payload []byte) []byte {
@@ -173,19 +174,6 @@ func ReadFrameInto(r io.Reader, buf []byte) (byte, []byte, error) {
 		return 0, buf, fmt.Errorf("server: truncated frame payload: %w", err)
 	}
 	return kind, buf, nil
-}
-
-// beginFrame starts encoding a frame in place at the start of buf: it
-// appends the kind and a length placeholder for endFrame to patch. The
-// frame must begin at buf[0].
-func beginFrame(buf []byte, kind byte) []byte {
-	return append(buf, kind, 0, 0, 0, 0)
-}
-
-// endFrame patches the payload length of a frame started with beginFrame.
-func endFrame(buf []byte) []byte {
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(buf)-frameHeaderLen))
-	return buf
 }
 
 // appendString appends a uvarint-length-prefixed string.

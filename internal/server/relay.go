@@ -5,12 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gasf/internal/broker"
 	"gasf/internal/federate"
 	"gasf/internal/quality"
 	"gasf/internal/telemetry"
@@ -415,11 +415,11 @@ func (leg *relayLeg) readStream(conn net.Conn) int {
 // many relayed frames is decoded for its source timestamp.
 const relaySampleEvery = 8
 
-// fanout hands one reconstructed frame to every local member: encoded
+// fanout hands one reconstructed frame to every local member: copied
 // once into a pooled refcounted frame, retained per member, one queue
-// hand-off each. The member list is copied under the lock so a slow
-// member blocking under PolicyBlock never holds up a concurrent
-// detach.
+// hand-off each through the core's member queue. The member list is
+// copied under the lock so a slow member blocking under the block policy
+// never holds up a concurrent detach.
 func (leg *relayLeg) fanout(kind byte, payload []byte, ts int64) {
 	leg.mu.Lock()
 	members := append(leg.scratch[:0], leg.members...)
@@ -428,17 +428,10 @@ func (leg *relayLeg) fanout(kind byte, payload []byte, ts int64) {
 	if len(members) == 0 {
 		return
 	}
-	fr := getFrame()
-	b := beginFrame(fr.buf, kind)
-	b = append(b, payload...)
-	fr.buf = endFrame(b)
-	fr.ts = ts
-	fr.src = leg.mgr.lat
-	fr.retain(len(members))
+	fr := broker.NewFrame(kind, payload, ts, leg.mgr.lat)
+	fr.Retain(len(members))
 	for _, sub := range members {
-		batch := getBatch()
-		batch.frames = append(batch.frames, fr)
-		sub.sendBatch(batch)
+		sub.m.Send(fr)
 	}
 }
 
@@ -448,13 +441,8 @@ func (leg *relayLeg) forwardQoS(scale float64) {
 	members := append(leg.scratch[:0], leg.members...)
 	leg.scratch = members
 	leg.mu.Unlock()
-	bits := math.Float64bits(scale)
 	for _, sub := range members {
-		sub.qosScale.Store(bits)
-		select {
-		case sub.qosKick <- struct{}{}:
-		default:
-		}
+		sub.m.SetQoS(scale)
 	}
 }
 
@@ -466,7 +454,7 @@ func (leg *relayLeg) finishMembers() {
 	members := append([]*subscriber(nil), leg.members...)
 	leg.mu.Unlock()
 	for _, sub := range members {
-		sub.finishStream()
+		sub.m.EndStream()
 	}
 }
 
@@ -606,18 +594,8 @@ func (s *Server) serveEdgeSubscriber(conn net.Conn, h SubHello, spec quality.Spe
 		s.reject(conn, errDraining)
 		return
 	}
-	queue := h.Queue
-	if queue <= 0 {
-		queue = s.cfg.SubscriberQueue
-	}
-	if queue > s.cfg.MaxSubscriberQueue {
-		queue = s.cfg.MaxSubscriberQueue
-	}
-	if s.cfg.SubscriberSendBuffer > 0 {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.SetWriteBuffer(s.cfg.SubscriberSendBuffer)
-		}
-	}
+	queue := s.b.QueueDepth(h.Queue)
+	s.pinSendBuffer(conn)
 	// The canonical spec rendering is the dedup key: equivalent specs
 	// parse and re-render identically, so equal groups share one leg.
 	key := legKey{source: h.Source, app: h.App, spec: spec.String()}
@@ -632,8 +610,8 @@ func (s *Server) serveEdgeSubscriber(conn net.Conn, h SubHello, spec quality.Spe
 			s.reject(conn, err)
 			return
 		}
-		sub = newSubscriber(s, h.App, h.Source, conn, queue)
-		sub.leg = leg
+		sub = &subscriber{s: s, conn: conn, writerDone: make(chan struct{}), leg: leg}
+		sub.m = s.b.NewRelayMember(h.App, h.Source, queue, func() { s.fed.detach(sub) })
 		if leg.attach(sub) {
 			break
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gasf/internal/flowgap"
 	"gasf/internal/tuple"
 )
 
@@ -41,15 +42,18 @@ func TestHandshakeLatencyUnderIdleLoad(t *testing.T) {
 			c.Close()
 		}
 	})
+	// Bare wheel entries stand in for the core sources: nothing expires
+	// within the test, so the fakes need no engine behind them.
+	gaps := make([]flowgap.Entry, idle)
 	s.mu.Lock()
 	for i := 0; i < idle; i++ {
 		client, srvEnd := net.Pipe()
 		pipes = append(pipes, client)
 		name := s.names.Intern(fmt.Sprintf("idle%d", i))
-		src := s.newSourceSession(name, srvEnd, schema)
+		src := &sourceSession{name: name, conn: srvEnd, schema: schema}
 		s.sources[name] = src
 		s.sketch.Record(name, s.wheel.NowTick())
-		s.wheel.Add(&src.gap, src)
+		s.wheel.Add(&gaps[i], src)
 	}
 	s.mu.Unlock()
 	if got := s.wheel.Size(); got != idle {

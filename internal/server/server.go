@@ -10,12 +10,12 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gasf/internal/adapt"
+	"gasf/internal/broker"
 	"gasf/internal/core"
 	"gasf/internal/federate"
 	"gasf/internal/flowgap"
@@ -28,57 +28,6 @@ import (
 	"gasf/internal/wire"
 )
 
-// Policy selects how the server treats a subscriber whose bounded send
-// queue is full.
-type Policy int
-
-const (
-	// PolicyBlock applies backpressure: the shard worker waits for queue
-	// space, which eventually stalls the publishers feeding that shard.
-	// Nothing is lost; the slowest consumer paces its sources.
-	PolicyBlock Policy = iota
-	// PolicyDrop discards the delivery and counts it, keeping fast
-	// subscribers and publishers unaffected by a slow one.
-	PolicyDrop
-	// PolicyDegrade keeps PolicyBlock's zero-loss backpressure but adds
-	// a per-subscriber adaptive controller: under sustained queue
-	// pressure (or past the delivery-p99 watermark) a subscriber whose
-	// filter implements adapt.Scalable has its effective quality spec
-	// coarsened stepwise at tuple boundaries through the live control
-	// path, each change announced with a FrameQoS frame, and restored
-	// stepwise with hysteresis once pressure clears. A subscriber whose
-	// filter is not Scalable degrades to plain blocking.
-	PolicyDegrade
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case PolicyBlock:
-		return "block"
-	case PolicyDrop:
-		return "drop"
-	case PolicyDegrade:
-		return "degrade"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy reads a policy name ("block", "drop" or "degrade").
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "block":
-		return PolicyBlock, nil
-	case "drop":
-		return PolicyDrop, nil
-	case "degrade":
-		return PolicyDegrade, nil
-	default:
-		return 0, fmt.Errorf("server: unknown slow-consumer policy %q (want block, drop or degrade)", s)
-	}
-}
-
 // Config parameterizes a Server. The zero value listens on an ephemeral
 // loopback port with default engine options.
 type Config struct {
@@ -87,17 +36,18 @@ type Config struct {
 	// Engine configures the group-aware engine deployed per source
 	// (algorithm, cuts, output strategy) and the shard runtime knobs.
 	Engine core.Options
-	// SubscriberQueue bounds each subscriber's send queue, in release
-	// cycles (one queued entry carries every frame a shard flush released
-	// to that subscriber, itself bounded by the runtime's FlushBatch);
-	// 0 means 256. A session may request its own depth in the hello,
-	// clamped to MaxSubscriberQueue.
+	// SubscriberQueue bounds each subscriber's send queue, in
+	// deliveries: how many released transmissions may wait for the
+	// session's writer before the slow-consumer policy applies, exactly
+	// as on the embedded transport. 0 means 256. A session may request
+	// its own depth in the hello, clamped to MaxSubscriberQueue.
 	SubscriberQueue int
-	// MaxSubscriberQueue caps the per-session queue depth a subscriber
-	// may request (memory protection); 0 means 65536.
+	// MaxSubscriberQueue caps the per-session queue depth, in
+	// deliveries, a subscriber may request (memory protection); 0 means
+	// 65536.
 	MaxSubscriberQueue int
 	// Policy selects the slow-consumer policy (block, drop or degrade).
-	Policy Policy
+	Policy broker.Policy
 	// Degrade tunes the per-subscriber degrade controller used by
 	// PolicyDegrade (watermarks, step, cooldown, restore hysteresis);
 	// zero values take the adapt.Governor defaults. Ignored under other
@@ -181,29 +131,11 @@ func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
 	}
-	if c.SubscriberQueue <= 0 {
-		c.SubscriberQueue = 256
-	}
-	if c.MaxSubscriberQueue <= 0 {
-		c.MaxSubscriberQueue = 65536
-	}
-	if c.SubscriberQueue > c.MaxSubscriberQueue {
-		c.MaxSubscriberQueue = c.SubscriberQueue
-	}
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = 2 * time.Second
 	}
 	if c.SourceTimeout == 0 {
 		c.SourceTimeout = 30 * time.Second
-	}
-	if c.ScanInterval <= 0 && c.SourceTimeout > 0 {
-		c.ScanInterval = c.SourceTimeout / 8
-		if c.ScanInterval < 10*time.Millisecond {
-			c.ScanInterval = 10 * time.Millisecond
-		}
-		if c.ScanInterval > time.Second {
-			c.ScanInterval = time.Second
-		}
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = 10 * time.Second
@@ -220,132 +152,60 @@ func (c Config) withDefaults() Config {
 // errDraining rejects sessions arriving during shutdown.
 var errDraining = errors.New("server is draining")
 
-// sourceSession is one connected publisher. Sessions are pooled: at
-// million-source scale the churn of connect/expire cycles would
-// otherwise allocate a session, its sink caches and its latency pair
-// per reconnect.
+// sourceSession is one connected publisher: the socket side of a core
+// source.
 type sourceSession struct {
 	// name is interned (Server.names): reconnect generations of the
 	// same source share one heap copy instead of retaining one each.
 	name   string
 	conn   net.Conn
 	schema *tuple.Schema
-	// gap is the session's entry in the flow-gap wheel: the last-seen
-	// tick (one atomic word, quantized to ScanInterval — no time.Time,
-	// no clock read on the hot path) plus the busy bit that marks a
-	// reader parked inside the runtime — a ring submit under
-	// backpressure or a Sync barrier awaiting its pong. A busy source
-	// publishes nothing by definition, so the flow-gap wheel must treat
-	// the state as liveness, not silence: reaping it mid-barrier would
-	// tear down a healthy session (and strand the client in Sync).
-	gap flowgap.Entry
+	// src is the core source the session publishes into; its flow-gap
+	// entry is the session's liveness.
+	src *broker.Source
 	// expired marks that the gap detector closed the connection, so the
 	// reader attributes its exit correctly.
-	expired atomicFlag
-	// subEpoch counts subscriber-registry changes for this source; it is
-	// written under Server.mu and read under its read side. The sink's
-	// per-source caches are keyed by it, so a membership change can never
-	// serve stale targets or labels.
-	subEpoch uint64
-	// sink-side state, owned by the source's shard worker (sink calls for
-	// one source are serialized), so it needs no locking of its own.
-	sink sinkState
-	// lat estimates the per-group delivery-latency quantiles: every
-	// egress write of a frame from this source feeds it. Nil when
-	// telemetry is disabled. Each session generation gets a fresh pair:
-	// queued frames retain the pointer past the session's end, so a
-	// recycled session must never reuse its predecessor's.
-	lat *telemetry.LatencyPair
+	expired atomic.Bool
 }
 
-var sourceSessionPool = sync.Pool{New: func() any { return new(sourceSession) }}
-
-// newSourceSession checks a recycled session out of the pool and
-// resets every field a previous generation could have dirtied.
-func (s *Server) newSourceSession(name string, conn net.Conn, schema *tuple.Schema) *sourceSession {
-	src := sourceSessionPool.Get().(*sourceSession)
-	src.name, src.conn, src.schema = name, conn, schema
-	src.gap.Reset()
-	src.expired.clear()
-	src.subEpoch = 0
-	src.sink.reset()
-	src.lat = nil
-	if s.tel != nil {
-		src.lat = telemetry.NewLatencyPair()
-	}
-	return src
-}
-
-// reset clears the sink-side caches for session reuse: stale subscriber
-// pointers must not pin sessions in the pool, and the encoder's
-// memoized destination prefix must not survive into a generation whose
-// epochs restart at zero.
-func (st *sinkState) reset() {
-	st.epoch = 0
-	st.inDests = nil
-	clear(st.targets)
-	st.targets = st.targets[:0]
-	st.labels = st.labels[:0]
-	st.enc = wire.TransmissionEncoder{}
-}
-
-// sinkState caches the per-source fan-out of the last released
-// transmission: the engine-decided destination list is mapped to live
-// subscriber targets and their labels once per (epoch, list) run instead
-// of once per transmission, and the encoded destination prefix is
-// memoized inside the wire encoder.
-type sinkState struct {
-	epoch   uint64
-	inDests []string // engine destination list the cache was computed for
-	targets []*subscriber
-	labels  []string
-	enc     wire.TransmissionEncoder
-}
-
-// Server is the networked streaming service. Create with Start, stop with
-// Shutdown (graceful drain) or Close (abort).
+// Server is the networked streaming service: the socket transport over
+// the broker session core. Create with Start, stop with Shutdown
+// (graceful drain) or Close (abort).
 type Server struct {
 	cfg Config
 	ln  net.Listener
-	rt  *shard.Runtime
-	// log is the durable segment log, nil unless Config.DataDir is set.
-	log *seglog.Log
+	// b is the session core: registry, fan-out, member queues, durable
+	// log, governor, eviction and flow-gap expiry. rt, log, tel and wheel
+	// are its runtime, durable log (nil unless Config.DataDir), telemetry
+	// pipeline (nil when disabled) and flow-gap wheel (nil when
+	// SourceTimeout is negative), cached for the socket paths.
+	b     *broker.Broker
+	rt    *shard.Runtime
+	log   *seglog.Log
+	tel   *telemetry.Pipeline
+	wheel *flowgap.Wheel
 
-	// rtCancel aborts the shard runtime (hard stop only; a graceful
-	// drain must leave the workers running until Drain returns).
-	rtCancel context.CancelFunc
-
-	// mu guards the session registries; the delivery fan-out (sink) and
-	// metrics snapshots take the read side so shard workers do not
-	// serialize against each other or against handshakes.
+	// mu guards the session maps; metrics snapshots take the read side.
+	// subs maps the core members of direct subscriber sessions to their
+	// sockets (relay members live in their legs), for introspection.
 	mu       sync.RWMutex
 	sources  map[string]*sourceSession
-	subs     map[string]map[string]*subscriber // source -> app -> session
+	subs     map[*broker.Sub]*subscriber
 	draining bool
-
-	// opsMu gates runtime operations against Drain: sessions hold the
-	// read side across Feed/Control/FinishSource; Shutdown takes the
-	// write side once all sources are gone, after which rtClosed rejects
-	// stragglers.
-	opsMu    sync.RWMutex
-	rtClosed bool
 
 	srcWG  sync.WaitGroup // source session readers
 	connWG sync.WaitGroup // every session goroutine
 	stop   chan struct{}  // closes background loops
 
-	// lg is the resolved session logger; tel the stage-timing and
-	// latency-estimation pipeline (nil when disabled).
-	lg  *slog.Logger
-	tel *telemetry.Pipeline
+	// lg is the resolved session logger.
+	lg *slog.Logger
 
-	// The flow-gap detector. wheel is tier 1 (connected sessions,
-	// nil when SourceTimeout is negative); sketch is tier 2, the
-	// bounded-memory last-heard record over the whole source population,
-	// connected or not, used to label reconnects that follow a silence
-	// gap. names interns source names across session generations, and
-	// expiryLag tracks how far past their deadline expiries fire.
-	wheel     *flowgap.Wheel
+	// Tier 2 of the flow-gap detector (tier 1 is the core's wheel):
+	// sketch is the bounded-memory last-heard record over the whole
+	// source population, connected or not, used to label reconnects that
+	// follow a silence gap. names interns source names across session
+	// generations, and expiryLag tracks how far past their deadline
+	// expiries fire.
 	sketch    *flowgap.Sketch
 	names     *intern.Pool
 	expiryLag *telemetry.LatencyPair
@@ -393,74 +253,63 @@ func Start(cfg Config) (*Server, error) {
 			topo = t
 		}
 	}
-	if cfg.Policy == PolicyDegrade {
-		// Surface a bad controller config here, not at the first
-		// subscriber handshake.
-		if _, err := adapt.NewGovernor(cfg.Degrade); err != nil {
-			return nil, err
-		}
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	var log *seglog.Log
-	if cfg.DataDir != "" {
-		// Opening the log runs recovery: torn tails are truncated and
-		// each source's next offset restored before any session connects.
-		log, err = seglog.Open(cfg.DataDir, cfg.Seglog)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
+	b, err := broker.New(broker.Config{
+		Engine:             cfg.Engine,
+		SubscriberQueue:    cfg.SubscriberQueue,
+		MaxSubscriberQueue: cfg.MaxSubscriberQueue,
+		Policy:             cfg.Policy,
+		// The writer's WriteTimeout disconnects a subscriber that stops
+		// absorbing frames, which releases a blocked send through the
+		// departure; no second deadline on the queue.
+		EvictTimeout:         -1,
+		EvictAfterDrops:      cfg.EvictAfterDrops,
+		Degrade:              cfg.Degrade,
+		SourceTimeout:        max(cfg.SourceTimeout, 0),
+		ScanInterval:         cfg.ScanInterval,
+		DataDir:              cfg.DataDir,
+		Seglog:               cfg.Seglog,
+		TelemetrySampleEvery: cfg.TelemetrySampleEvery,
+		Logger:               cfg.resolveLogger(),
+	})
+	if err != nil {
+		ln.Close()
+		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var tel *telemetry.Pipeline
-	if cfg.TelemetrySampleEvery >= 0 {
-		tel = telemetry.New(cfg.TelemetrySampleEvery)
-	}
-	sc := shard.FromOptions(cfg.Engine)
-	sc.Telemetry = tel
 	s := &Server{
-		cfg:      cfg,
-		ln:       ln,
-		rt:       shard.New(sc),
-		log:      log,
-		rtCancel: cancel,
-		sources:  make(map[string]*sourceSession),
-		subs:     make(map[string]map[string]*subscriber),
-		stop:     make(chan struct{}),
-		lg:       cfg.resolveLogger(),
-		tel:      tel,
-		names:    intern.New(0),
-		topo:     topo,
+		cfg:     cfg,
+		ln:      ln,
+		b:       b,
+		rt:      b.Runtime(),
+		log:     b.Log(),
+		tel:     b.Telemetry(),
+		wheel:   b.Wheel(),
+		sources: make(map[string]*sourceSession),
+		subs:    make(map[*broker.Sub]*subscriber),
+		stop:    make(chan struct{}),
+		lg:      b.Config().Logger,
+		names:   intern.New(0),
+		topo:    topo,
 	}
 	if cfg.Federation.Role == federate.RoleEdge {
 		s.fed = newRelayMgr(s)
 	}
-	if cfg.SourceTimeout > 0 {
-		s.wheel = flowgap.NewWheel(cfg.ScanInterval, cfg.SourceTimeout, s.expireSource)
+	if s.wheel != nil {
 		s.sketch = flowgap.NewSketch(gapSketchCells)
 		s.expiryLag = telemetry.NewLatencyPair()
 	}
-	if err := s.rt.Start(ctx, s.sink); err != nil {
-		cancel()
-		ln.Close()
-		if log != nil {
-			log.Close()
-		}
-		return nil, err
-	}
-	s.connWG.Add(2)
+	s.connWG.Add(1)
 	go s.acceptLoop()
-	go s.scanLoop()
 	s.lg.Info("listening",
 		"addr", ln.Addr().String(),
 		"policy", cfg.Policy.String(),
 		"heartbeat", cfg.HeartbeatInterval,
 		"source_timeout", cfg.SourceTimeout,
-		"scan_interval", cfg.ScanInterval,
-		"telemetry_sample", tel.SampleEvery())
+		"scan_interval", b.Config().ScanInterval,
+		"telemetry_sample", s.tel.SampleEvery())
 	return s, nil
 }
 
@@ -478,16 +327,6 @@ func (s *Server) isDraining() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.draining
-}
-
-// runtimeOp runs a runtime operation under the drain gate.
-func (s *Server) runtimeOp(fn func() error) error {
-	s.opsMu.RLock()
-	defer s.opsMu.RUnlock()
-	if s.rtClosed {
-		return errDraining
-	}
-	return fn()
 }
 
 // acceptLoop admits connections until the listener closes.
@@ -510,37 +349,13 @@ func (s *Server) acceptLoop() {
 // via oldest-first eviction rather than growing memory.
 const gapSketchCells = 1 << 18
 
-// scanLoop drives flow-gap detection: a publisher that neither streams
-// nor heartbeats within SourceTimeout is presumed dead, its session is
-// closed and its stream finished, so its subscribers see a clean end
-// instead of silence. Each tick advances the timer wheel, which only
-// inspects the sessions whose liveness deadline falls due — never the
-// whole population, and never under the server mutex — so handshakes
-// and ingest are unaffected by how many idle sources are tracked.
-func (s *Server) scanLoop() {
-	defer s.connWG.Done()
-	if s.wheel == nil {
-		return
-	}
-	tick := time.NewTicker(s.cfg.ScanInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-		}
-		s.wheel.Advance(time.Now())
-	}
-}
-
-// expireSource is the wheel's expiry callback (runs on the scan loop,
-// outside every lock). Closing the connection unblocks the session
-// reader, which finishes the stream and tears down the subscribers.
-func (s *Server) expireSource(data any, lag time.Duration) {
-	src := data.(*sourceSession)
-	src.expired.set()
-	s.ctr.sourcesExpired.Add(1)
+// expireSource is a session's flow-gap expiry hook (runs on the core's
+// wheel loop, outside every lock): a publisher that neither streams nor
+// heartbeats within SourceTimeout is presumed dead. Closing the
+// connection unblocks the session reader, which retires the source, so
+// its subscribers see a clean end instead of silence.
+func (s *Server) expireSource(src *sourceSession, lag time.Duration) {
+	src.expired.Store(true)
 	s.expiryLag.Observe(lag)
 	s.lg.Warn("source expired", "source", src.name, "silent_for", s.cfg.SourceTimeout, "lag", lag)
 	if s.cfg.OnSourceGap != nil {
@@ -581,10 +396,10 @@ func (s *Server) reject(conn net.Conn, err error) {
 	conn.Close()
 }
 
-// serveSource runs a publisher session: register an engine for the
-// source, stream its tuples into the shard runtime, and on any exit
-// (goodbye, disconnect, expiry, protocol error) finish the stream, flush
-// the tail to its subscribers, and tear the subscribers down.
+// serveSource runs a publisher session: open a core source, stream its
+// tuples into the shard runtime, and on any exit (goodbye, disconnect,
+// expiry, protocol error) retire the source — flush the tail to its
+// subscribers, end their streams, release the name.
 func (s *Server) serveSource(conn net.Conn, hello []byte) {
 	name, schema, err := DecodeSourceHello(hello)
 	if err != nil {
@@ -615,31 +430,13 @@ func (s *Server) serveSource(conn net.Conn, hello []byte) {
 		}
 	}
 
+	src := &sourceSession{name: name, conn: conn, schema: schema}
 	s.mu.Lock()
-	switch {
-	case s.draining:
+	if s.draining {
 		s.mu.Unlock()
 		s.reject(conn, errDraining)
 		return
-	case s.sources[name] != nil:
-		s.mu.Unlock()
-		s.reject(conn, fmt.Errorf("source %q already connected", name))
-		return
 	}
-	engine, err := core.NewDynamicEngine(s.cfg.Engine)
-	if err == nil {
-		err = s.runtimeOp(func() error { return s.rt.AddSourceLive(name, engine) })
-	}
-	if err != nil {
-		s.mu.Unlock()
-		s.reject(conn, err)
-		return
-	}
-	src := s.newSourceSession(name, conn, schema)
-	s.sources[name] = src
-	s.srcWG.Add(1)
-	s.mu.Unlock()
-
 	if s.wheel != nil {
 		// Tier 2 first: was this name silent past the timeout since we
 		// last heard it (possibly sessions ago)? That is a gap-recovered
@@ -652,8 +449,17 @@ func (s *Server) serveSource(conn net.Conn, hello []byte) {
 				"silent_for", time.Duration(now-last)*s.wheel.Tick())
 		}
 		s.sketch.Record(name, now)
-		s.wheel.Add(&src.gap, src)
 	}
+	src.src, err = s.b.OpenSourceExpiring(name, schema, func(lag time.Duration) { s.expireSource(src, lag) })
+	if err != nil {
+		s.mu.Unlock()
+		s.reject(conn, err)
+		return
+	}
+	s.sources[name] = src
+	s.srcWG.Add(1)
+	s.mu.Unlock()
+
 	s.ctr.sourcesAccepted.Add(1)
 	s.lg.Info("source connected", "source", name, "remote", conn.RemoteAddr().String(), "schema", schema)
 	if err := WriteFrame(conn, FrameHelloOK, s.sourceResumeHint(name, schema)); err != nil {
@@ -751,25 +557,19 @@ func (s *Server) readSource(src *sourceSession) {
 		n := binary.LittleEndian.Uint32(hdr[1:])
 		return uint32(br.Buffered()-frameHeaderLen) >= n
 	}
+	// submit hands the staged run to the core source, which stamps
+	// liveness once per run (not per frame) and holds the busy flag
+	// across a submit parked on a full shard ring, so the flow-gap wheel
+	// never mistakes that stall for a dead publisher.
 	submit := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		// Stamping liveness once per submitted run (not per frame) keeps
-		// even the wheel's one-atomic-store touch off the per-tuple
-		// path; runs are far shorter than any sane SourceTimeout.
-		s.wheel.Touch(&src.gap)
-		// The submit may park arbitrarily long on a full shard ring
-		// (block policy downstream); the busy flag keeps the flow-gap
-		// wheel from mistaking that stall for a dead publisher, and the
-		// fresh touch on return restarts the gap clock.
-		src.gap.SetBusy(true)
-		err := s.runtimeOp(func() error { return s.rt.SubmitBatch(src.name, batch) })
-		src.gap.SetBusy(false)
-		s.wheel.Touch(&src.gap)
+		err := src.src.PublishBatch(context.Background(), batch)
 		if err == nil {
 			s.ctr.tuplesIn.Add(uint64(len(batch)))
 		}
+		clear(batch)
 		batch = batch[:0]
 		return err
 	}
@@ -779,7 +579,7 @@ func (s *Server) readSource(src *sourceSession) {
 		if err != nil {
 			// EOF, gap expiry and the drain deadline are orderly ends of
 			// stream, not failures.
-			if !errors.Is(err, io.EOF) && !src.expired.isSet() && !s.isDraining() {
+			if !errors.Is(err, io.EOF) && !src.expired.Load() && !s.isDraining() {
 				readErr = err
 			}
 			break
@@ -836,7 +636,7 @@ func (s *Server) readSource(src *sourceSession) {
 			}
 			continue
 		case FrameHeartbeat:
-			s.wheel.Touch(&src.gap)
+			src.src.Touch()
 			s.ctr.heartbeatsIn.Add(1)
 			continue
 		case FramePing:
@@ -844,7 +644,7 @@ func (s *Server) readSource(src *sourceSession) {
 			// shard ring before the pong leaves, so a client that has seen
 			// the pong knows later membership changes order after those
 			// tuples.
-			s.wheel.Touch(&src.gap)
+			src.src.Touch()
 			if err := submit(); err != nil {
 				readErr = err
 				break
@@ -852,11 +652,10 @@ func (s *Server) readSource(src *sourceSession) {
 			// The pong write closes the barrier; it is covered by the busy
 			// flag like the submit so an outstanding ping can never expire
 			// the source mid-barrier.
-			src.gap.SetBusy(true)
+			src.src.SetBusy(true)
 			src.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			err := WriteFrame(src.conn, FramePong, payload)
-			src.gap.SetBusy(false)
-			s.wheel.Touch(&src.gap)
+			src.src.SetBusy(false)
 			if err != nil {
 				readErr = fmt.Errorf("answering ping: %w", err)
 				break
@@ -883,24 +682,19 @@ func (s *Server) sendError(conn net.Conn, err error) {
 	_ = WriteFrame(conn, FrameError, []byte(err.Error()))
 }
 
-// finishSource ends a publisher session: finish the engine (flushing its
-// final outputs through the sink), tear down the source's subscribers
-// after the tail is delivered, and release the source name for reuse.
+// finishSource ends a publisher session: retire the core source
+// (flushing its final outputs to the subscribers, ending their streams,
+// releasing the name for reuse) and forget the session.
 func (s *Server) finishSource(src *sourceSession, cause error) {
 	defer s.srcWG.Done()
 	src.conn.Close()
-	// Leave the wheel first. clean=false means an expiry pass has
-	// claimed this session and its callback may still be running — the
-	// session must then not be recycled; the GC takes that rare loser.
-	clean := true
 	if s.wheel != nil {
-		clean = s.wheel.Remove(&src.gap)
 		// Tier-2 record of when this name was last heard, so a future
 		// reconnect can be classified against the silence threshold.
 		s.sketch.Record(src.name, s.wheel.NowTick())
 	}
 	switch {
-	case src.expired.isSet():
+	case src.expired.Load():
 		s.ctr.closedFlowGap.Add(1)
 	case s.isDraining():
 		s.ctr.closedDrain.Add(1)
@@ -915,46 +709,30 @@ func (s *Server) finishSource(src *sourceSession, cause error) {
 	} else {
 		s.lg.Info("source finished", "source", src.name)
 	}
-	if err := s.runtimeOp(func() error { return s.rt.FinishSourceWait(src.name) }); err != nil && !errors.Is(err, errDraining) {
-		s.lg.Warn("finishing source", "source", src.name, "err", err)
-	}
-	// The runtime forgets the name before the server registry does, so a
-	// publisher reconnecting under this name either sees the old session
-	// (rejected, retryable) or a fully clean slate — never a half-freed
-	// name whose AddSourceLive would fail.
-	if err := s.runtimeOp(func() error { return s.rt.RemoveSource(src.name) }); err != nil && !errors.Is(err, errDraining) {
-		s.lg.Warn("removing source", "source", src.name, "err", err)
-	}
+	// The session is accounted finished before its subscribers' streams
+	// end, so a client that has seen its goodbye reads settled counters.
+	// A publisher reconnecting under the name meanwhile is rejected by
+	// the core (retryable) until the retirement released it.
 	s.mu.Lock()
-	delete(s.sources, src.name)
-	subs := s.subs[src.name]
-	delete(s.subs, src.name)
-	s.mu.Unlock()
-	// The finish marker has been processed, so no further sink flush can
-	// touch these subscribers: their queues are complete and may be
-	// flushed and closed.
-	for _, sub := range subs {
-		sub.finishStream()
+	if s.sources[src.name] == src {
+		delete(s.sources, src.name)
 	}
+	s.mu.Unlock()
 	s.ctr.sourcesFinished.Add(1)
-	// Safe to recycle: the session is out of every registry, the
-	// runtime has drained its flushes (FinishSourceWait), and the wheel
-	// reported no in-flight expiry claim.
-	if clean {
-		sourceSessionPool.Put(src)
+	if err := src.src.Retire(); err != nil {
+		s.lg.Warn("retiring source", "source", src.name, "err", err)
 	}
 }
 
-// serveSubscriber runs a subscriber session: parse and validate the
-// quality spec, join the source's live group, then stream transmissions
-// until the subscriber leaves or its source finishes.
+// serveSubscriber runs a subscriber session: join the source's live
+// group through the core, then stream transmissions until the subscriber
+// leaves or its source finishes.
 func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 	h, err := DecodeSubHello(hello)
 	if err != nil {
 		s.reject(conn, err)
 		return
 	}
-	app, source, queue := h.App, h.Source, h.Queue
 	spec, err := quality.Parse(h.Spec)
 	if err != nil {
 		s.reject(conn, err)
@@ -964,15 +742,6 @@ func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 		s.serveEdgeSubscriber(conn, h, spec)
 		return
 	}
-	f, err := spec.Build(app)
-	if err != nil {
-		s.reject(conn, err)
-		return
-	}
-	if s.log == nil && h.Resume {
-		s.reject(conn, fmt.Errorf("%w: the server has no durable log (start it with a data dir)", ErrResumeUnavailable))
-		return
-	}
 	if s.log != nil && h.Version < 2 {
 		// A durable server's encode-once fan-out produces only
 		// offset-bearing transmission frames; a protocol-1 client would
@@ -980,110 +749,36 @@ func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 		s.reject(conn, fmt.Errorf("durable server requires subscriber protocol version %d (client speaks %d)", SubProtoVersion, h.Version))
 		return
 	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if s.isDraining() {
 		s.reject(conn, errDraining)
 		return
 	}
-	src := s.sources[source]
-	if src == nil {
-		s.mu.Unlock()
-		s.reject(conn, fmt.Errorf("unknown source %q", source))
+	m, err := s.b.Subscribe(context.Background(), h.App, h.Source, spec, broker.SubOptions{
+		Queue:      h.Queue,
+		Resume:     h.Resume,
+		ResumeFrom: h.ResumeFrom,
+	})
+	if err != nil {
+		s.reject(conn, err)
 		return
 	}
-	for _, attr := range spec.Attrs {
-		if !src.schema.Has(attr) {
-			s.mu.Unlock()
-			s.reject(conn, fmt.Errorf("source %q has no attribute %q (schema %v)", source, attr, src.schema))
-			return
-		}
-	}
-	if s.subs[source][app] != nil {
-		s.mu.Unlock()
-		s.reject(conn, fmt.Errorf("%w: app %q holds a live session on %q", ErrAlreadySubscribed, app, source))
-		return
-	}
-	// Transmissions label every destination on the wire (u8 count), so a
-	// group larger than the encoding allows could never be delivered.
-	if len(s.subs[source]) >= wire.MaxDestinations {
-		s.mu.Unlock()
-		s.reject(conn, fmt.Errorf("source %q already has %d subscribers (wire limit)", source, wire.MaxDestinations))
-		return
-	}
-	if h.Resume && h.ResumeFrom > s.log.NextOffset(source) {
-		head := s.log.NextOffset(source)
-		s.mu.Unlock()
-		s.reject(conn, fmt.Errorf("%w: resume offset %d is beyond the log head %d of source %q", ErrResumeUnavailable, h.ResumeFrom, head, source))
-		return
-	}
-	if queue <= 0 {
-		queue = s.cfg.SubscriberQueue
-	}
-	if queue > s.cfg.MaxSubscriberQueue {
-		queue = s.cfg.MaxSubscriberQueue
-	}
-	if s.cfg.SubscriberSendBuffer > 0 {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.SetWriteBuffer(s.cfg.SubscriberSendBuffer)
-		}
-	}
-	sub := newSubscriber(s, app, source, conn, queue)
-	sub.resume, sub.resumeFrom = h.Resume, h.ResumeFrom
+	s.pinSendBuffer(conn)
+	sub := newSubscriber(s, m, conn)
 	if h.Relay {
 		// An edge's upstream leg: the same session in every way, but
 		// tagged with the edge it fans out on for metrics and debug.
 		sub.relayEdge = h.RelayEdge
 		s.ctr.fedRelayLegsIn.Add(1)
 	}
-	if s.cfg.Policy == PolicyDegrade {
-		if sc, ok := f.(adapt.Scalable); ok {
-			// Config validated at Start; a fresh governor per session keeps
-			// each subscriber's trajectory independent.
-			gov, gerr := adapt.NewGovernor(s.cfg.Degrade)
-			if gerr != nil {
-				s.mu.Unlock()
-				s.reject(conn, gerr)
-				return
-			}
-			sub.gov, sub.scalable = gov, sc
-		}
-	}
-	if s.subs[source] == nil {
-		s.subs[source] = make(map[string]*subscriber)
-	}
-	// Registered before the filter joins the group, so the first
-	// delivery the engine decides for this app finds its queue.
-	s.subs[source][app] = sub
-	src.subEpoch++
+	s.mu.Lock()
+	s.subs[m] = sub
 	s.mu.Unlock()
-
-	err = s.runtimeOp(func() error {
-		return s.rt.Control(source, func(e *core.Engine) error {
-			if err := e.AddFilter(f); err != nil {
-				return err
-			}
-			if sub.resume {
-				// The splice fence: this closure runs on the source's
-				// owning worker at a tuple boundary, the same goroutine
-				// that appends to the log, so every record below the fence
-				// was released before this app joined the group and every
-				// transmission addressed to it lands at or above the
-				// fence. Replaying [resumeFrom, fence) and then streaming
-				// live is gapless and duplicate-free by construction.
-				sub.spliceTo = s.log.NextOffset(source)
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		s.dropSubscriberEntry(sub)
-		s.reject(conn, fmt.Errorf("joining group of %q: %w", source, err))
-		return
-	}
-
-	schemaPayload, err := EncodeSchema(src.schema)
+	defer func() {
+		s.mu.Lock()
+		delete(s.subs, m)
+		s.mu.Unlock()
+	}()
+	schemaPayload, err := EncodeSchema(m.Schema())
 	if err == nil {
 		err = WriteFrame(conn, FrameHelloOK, schemaPayload)
 	}
@@ -1093,180 +788,31 @@ func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 		return
 	}
 	s.ctr.subscribersAccepted.Add(1)
-	s.lg.Info("subscriber joined", "app", app, "source", source, "spec", spec)
+	s.lg.Info("subscriber joined", "app", h.App, "source", h.Source, "spec", spec)
 	s.connWG.Add(1)
 	go sub.writeLoop()
-	if sub.gov != nil {
-		s.connWG.Add(1)
-		go sub.scaleLoop()
-	}
 	sub.readLoop() // returns when the client leaves or the session ends
 }
 
-// dropSubscriberEntry removes a subscriber from the registry without
-// touching the engine (used when the join itself failed).
-func (s *Server) dropSubscriberEntry(sub *subscriber) {
-	s.mu.Lock()
-	if m := s.subs[sub.source]; m != nil && m[sub.app] == sub {
-		delete(m, sub.app)
-		if src := s.sources[sub.source]; src != nil {
-			src.subEpoch++
+// pinSendBuffer applies Config.SubscriberSendBuffer to a subscriber
+// connection.
+func (s *Server) pinSendBuffer(conn net.Conn) {
+	if s.cfg.SubscriberSendBuffer > 0 {
+		if tc, ok := conn.(*net.TCPConn); ok {
+			_ = tc.SetWriteBuffer(s.cfg.SubscriberSendBuffer)
 		}
 	}
-	s.mu.Unlock()
 }
 
-// removeSubscriber detaches a departing subscriber: its filter leaves the
-// live group (re-deriving the group for the remaining members) and its
-// queue stops accepting deliveries. The registry entry is removed only
-// after the filter has left the engine, so outputs the group still owed
-// the old session cannot reach a new session reusing the app name — the
-// name stays taken (duplicate-rejected) until the detach completes.
+// removeSubscriber detaches a departing subscriber through the core's
+// member close: its queue stops accepting deliveries and is returned to
+// the pool, and its filter leaves the live group (or, on an edge, its
+// relay leg refcounts down).
 func (s *Server) removeSubscriber(sub *subscriber) {
-	sub.leave() // unblocks any sink send first
-	if sub.leg != nil {
-		// Relay members live outside the engine and the registry: the
-		// departure refcounts the leg down, and the last member's leave
-		// tears the upstream subscription through the acked path.
-		s.fed.detach(sub)
-		s.lg.Info("subscriber left", "app", sub.app, "source", sub.source, "dropped", sub.droppedCount())
-		return
+	if err := sub.m.Close(context.Background()); err != nil {
+		s.lg.Warn("detaching subscriber", "app", sub.m.App(), "source", sub.m.Source(), "err", err)
 	}
-	err := s.runtimeOp(func() error {
-		return s.rt.Control(sub.source, func(e *core.Engine) error { return e.RemoveFilter(sub.app) })
-	})
-	if err != nil && !errors.Is(err, errDraining) {
-		// The source may have finished concurrently; its teardown already
-		// retired the whole group.
-		s.lg.Warn("detaching subscriber", "app", sub.app, "source", sub.source, "err", err)
-	}
-	s.dropSubscriberEntry(sub)
-	s.lg.Info("subscriber left", "app", sub.app, "source", sub.source, "dropped", sub.droppedCount())
-}
-
-// sinkScratch is the per-sink-call staging state (the subscribers
-// touched this cycle), pooled so concurrent shard workers each grab
-// their own and the fan-out cycle stays allocation-free.
-type sinkScratch struct {
-	touched []*subscriber
-}
-
-var sinkScratchPool = sync.Pool{New: func() any { return new(sinkScratch) }}
-
-// sink receives batched released transmissions from the shard workers and
-// fans each out to the connected subscribers named in its destination
-// list. Per-source calls are serialized by the owning worker, so each
-// subscriber's stream arrives in release order.
-//
-// The fan-out path encodes each transmission exactly once into a pooled,
-// refcounted frame shared by every target queue, labels it with the live
-// targets only (departed subscribers stop consuming egress bytes), and
-// reuses the per-source target/label/prefix caches while the subscription
-// epoch and destination list repeat. Frames are staged per subscriber
-// across the whole flush and handed over as one batch per subscriber —
-// one queue operation per release cycle, not one per frame. Staging is
-// safe without locks because a subscriber belongs to exactly one source
-// and one worker owns all of a source's flushes.
-func (s *Server) sink(batch []shard.Out) {
-	var fanStart time.Time
-	if s.tel.Sample(telemetry.StageFanout) {
-		fanStart = time.Now()
-	}
-	sc := sinkScratchPool.Get().(*sinkScratch)
-	for i := range batch {
-		o := &batch[i]
-		s.ctr.transmissionsOut.Add(1)
-
-		s.mu.RLock()
-		src := s.sources[o.Source]
-		var st *sinkState
-		if src != nil {
-			st = &src.sink
-			if st.epoch != src.subEpoch || !slices.Equal(st.inDests, o.Tr.Destinations) {
-				// Membership or overlap pattern changed: recompute the
-				// live targets and their labels. Label order follows the
-				// engine's sorted destination list, so the encoding stays
-				// deterministic.
-				st.epoch, st.inDests = src.subEpoch, o.Tr.Destinations
-				st.targets, st.labels = st.targets[:0], st.labels[:0]
-				for _, app := range o.Tr.Destinations {
-					if sub := s.subs[o.Source][app]; sub != nil {
-						st.targets = append(st.targets, sub)
-						st.labels = append(st.labels, app)
-					}
-				}
-			}
-		}
-		s.mu.RUnlock()
-		if st == nil || len(st.targets) == 0 {
-			// The source is gone, or every addressee already left (their
-			// owed outputs decided after the leave); nothing to encode.
-			continue
-		}
-
-		fr := getFrame()
-		kind := FrameTransmission
-		if s.log != nil {
-			kind = FrameTransmissionOff
-		}
-		buf := beginFrame(fr.buf, kind)
-		payloadStart := len(buf)
-		if s.log != nil {
-			// Offset placeholder, patched after the append assigns it.
-			buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-		}
-		buf, err := st.enc.AppendTransmission(buf, st.epoch, o.Tr.Tuple, st.labels)
-		if err != nil {
-			fr.buf = fr.buf[:0]
-			fr.retain(1)
-			fr.release()
-			s.lg.Error("encoding transmission", "source", o.Source, "err", err)
-			continue
-		}
-		fr.buf = endFrame(buf)
-		if s.log != nil {
-			// The durable record is the exact transmission fanned out to
-			// the live targets — pruned labels included — so a replayed
-			// stream is byte-identical to what a live subscriber received.
-			// The append lands before any subscriber queue sees the frame:
-			// a delivery can never report an offset the log does not hold.
-			off, err := s.log.Append(o.Source, fr.buf[payloadStart+8:])
-			if err != nil {
-				// Durability is degraded, delivery is not: the live stream
-				// continues and the failure is counted and logged. Recovery
-				// truncates whatever half-record the error left behind.
-				s.ctr.logAppendErrors.Add(1)
-				s.lg.Error("segment log append", "source", o.Source, "err", err)
-			}
-			binary.LittleEndian.PutUint64(fr.buf[payloadStart:], off)
-		}
-		// The tuple's source timestamp rides on the frame so egress can
-		// turn the write instant into an end-to-end delivery latency.
-		fr.ts = o.Tr.Tuple.TS.UnixNano()
-		fr.src = src.lat
-		fr.retain(len(st.targets))
-		for _, sub := range st.targets {
-			if sub.stage == nil {
-				sub.stage = getBatch()
-				sc.touched = append(sc.touched, sub)
-			}
-			sub.stage.frames = append(sub.stage.frames, fr)
-		}
-	}
-	// Hand each touched subscriber its whole cycle in one queue
-	// operation; the stage pointer is cleared before the send so a
-	// blocked hand-off never leaves worker-owned state behind.
-	for i, sub := range sc.touched {
-		b := sub.stage
-		sub.stage = nil
-		sc.touched[i] = nil
-		sub.sendBatch(b)
-	}
-	sc.touched = sc.touched[:0]
-	sinkScratchPool.Put(sc)
-	if !fanStart.IsZero() {
-		s.tel.Observe(telemetry.StageFanout, time.Since(fanStart))
-	}
+	s.lg.Info("subscriber left", "app", sub.m.App(), "source", sub.m.Source(), "dropped", sub.m.Dropped())
 }
 
 // Shutdown gracefully drains the server: stop accepting, close publisher
@@ -1323,47 +869,20 @@ func (s *Server) shutdown(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-ctx.Done():
-		// Hard abort: cancel the runtime so blocked feeds and controls
+		// Hard abort: release the core so blocked feeds and controls
 		// unwind, and cut the connections under the readers.
 		aborted = true
-		s.rtCancel()
+		s.b.Abort()
 		for _, src := range srcs {
 			src.conn.Close()
 		}
 		<-done
 	}
 
-	// All feeders have stopped; seal the runtime and drain it.
-	s.opsMu.Lock()
-	s.rtClosed = true
-	s.opsMu.Unlock()
-	if aborted {
-		s.rtCancel()
-	}
-	drainErr := s.rt.Drain()
-	s.rtCancel()
-	if s.log != nil {
-		// The workers are drained: no sink call can append anymore, so
-		// the log can be sealed (final fsync under the sync policies).
-		if err := s.log.Close(); err != nil {
-			drainErr = errors.Join(drainErr, err)
-		}
-	}
-
-	// Workers are gone, so no sink flush can race these closes; any
-	// subscriber still connected gets its queue flushed and a goodbye.
-	s.mu.Lock()
-	var rest []*subscriber
-	for _, m := range s.subs {
-		for _, sub := range m {
-			rest = append(rest, sub)
-		}
-	}
-	s.subs = make(map[string]map[string]*subscriber)
-	s.mu.Unlock()
-	for _, sub := range rest {
-		sub.finishStream()
-	}
+	// All feeders have stopped; the core drains the runtime, seals the
+	// log and ends every remaining subscriber stream (an aborted drain
+	// leaves them instead, and their writers close the connections).
+	drainErr := s.b.Close(ctx)
 
 	waitDone := make(chan struct{})
 	go func() { s.connWG.Wait(); close(waitDone) }()
@@ -1377,7 +896,7 @@ func (s *Server) shutdown(ctx context.Context) error {
 	if aborted {
 		// The abort cancelled the runtime on purpose; surfacing the
 		// cancellation itself as an error would make every Close() fail.
-		return stripCtxErrs(drainErr)
+		return broker.StripCtxErrs(drainErr)
 	}
 	if drainErr != nil {
 		return drainErr
@@ -1385,31 +904,3 @@ func (s *Server) shutdown(ctx context.Context) error {
 	s.lg.Info("drained")
 	return nil
 }
-
-// stripCtxErrs removes context-cancellation errors from a (possibly
-// joined) error tree, keeping real failures.
-func stripCtxErrs(err error) error {
-	if err == nil {
-		return nil
-	}
-	if joined, ok := err.(interface{ Unwrap() []error }); ok {
-		var keep []error
-		for _, e := range joined.Unwrap() {
-			if e = stripCtxErrs(e); e != nil {
-				keep = append(keep, e)
-			}
-		}
-		return errors.Join(keep...)
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return nil
-	}
-	return err
-}
-
-// atomicFlag is a set-once boolean (clearable only for session reuse).
-type atomicFlag struct{ v atomic.Bool }
-
-func (a *atomicFlag) set()        { a.v.Store(true) }
-func (a *atomicFlag) clear()      { a.v.Store(false) }
-func (a *atomicFlag) isSet() bool { return a.v.Load() }

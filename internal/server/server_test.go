@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gasf/internal/broker"
 	"gasf/internal/core"
 	"gasf/internal/filter"
 	"gasf/internal/quality"
@@ -414,7 +415,7 @@ func wideSeries(t *testing.T, n int) *tuple.Series {
 func TestSlowConsumerDrop(t *testing.T) {
 	n := 4000
 	s := startServer(t, Config{
-		Policy:       PolicyDrop,
+		Policy:       broker.Drop,
 		WriteTimeout: 500 * time.Millisecond,
 	})
 	addr := s.Addr().String()

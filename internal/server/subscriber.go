@@ -4,17 +4,12 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"math"
+	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"gasf/internal/adapt"
-	"gasf/internal/core"
+	"gasf/internal/broker"
 	"gasf/internal/telemetry"
-	"gasf/internal/wire"
 )
 
 // subWriteBatchBytes bounds how many frame bytes one egress cycle
@@ -22,246 +17,29 @@ import (
 // covers a bounded burst.
 const subWriteBatchBytes = 32 << 10
 
-// subscriber is one connected application session: a bounded queue of
-// frame batches between the shard workers (producers, via Server.sink,
-// one queue operation per release cycle) and a writer goroutine that
-// owns the connection's write side and drains queued batches into
-// vectored writes.
+// subscriber is one connected application session: the socket side of
+// a core member. The core's sink (or, on an edge, the relay leg) fills
+// the member queue with shared frames; a writer goroutine owns the
+// connection's write side and drains the queue into vectored writes.
 type subscriber struct {
-	s      *Server
-	app    string
-	source string
-	conn   net.Conn
+	s    *Server
+	m    *broker.Sub
+	conn net.Conn
 
-	// stage accumulates this subscriber's frames during one sink call.
-	// It is owned by the source's shard worker (per-source sink calls
-	// are serialized), lives only within a single sink invocation, and
-	// is always handed to the queue before the call returns.
-	stage *frameBatch
-
-	// out carries frame batches to the writer. Only the sink sends on
-	// it, only for a live source; it is closed exactly once, after the
-	// source's final flush, to let the writer drain the tail and send
-	// the goodbye.
-	out chan *frameBatch
-	// done is closed when the subscriber leaves (client disconnect or
-	// removal), releasing any sink send blocked on a full queue.
-	done chan struct{}
 	// writerDone is closed when writeLoop exits; the read side waits on
 	// it before writing the departure ack, so the two goroutines never
 	// interleave writes on the connection.
 	writerDone chan struct{}
-	leaveOnce  sync.Once
-	finOnce    sync.Once
-
-	// resume asks the writer to replay the source's durable log over
-	// [resumeFrom, spliceTo) before draining live deliveries. spliceTo is
-	// the fence captured inside the AddFilter control closure — every
-	// live delivery for this session carries an offset >= spliceTo, so
-	// the replayed history and the live stream tile the log exactly.
-	resume     bool
-	resumeFrom uint64
-	spliceTo   uint64
-
-	// lat estimates this session's delivery-latency quantiles (tuple
-	// source timestamp to egress write). Fed by the writer goroutine,
-	// read by the introspection endpoint. Nil when telemetry is off.
-	lat *telemetry.LatencyPair
-
-	dropped atomic.Uint64
-
-	// Degrade-policy state (PolicyDegrade with a Scalable filter only;
-	// gov is nil otherwise). The governor is driven from sendBatch —
-	// one shard worker serializes all sends for a source, so it needs no
-	// lock. scalable is the session's live filter: SetScale must only
-	// run inside a Runtime.Control closure (tuple boundary, owning
-	// worker), which is why decisions go through the applier goroutine
-	// (scaleLoop) instead of being applied inline.
-	gov      *adapt.Governor
-	scalable adapt.Scalable
-	// scaleKick wakes the applier; targetScale carries the float64 bits
-	// of the governor's latest decision. Kicks coalesce — applying only
-	// the newest target is correct because targets are absolute.
-	scaleKick   chan struct{}
-	targetScale atomic.Uint64
-	// qosKick asks the writer to announce the applied scale (qosScale,
-	// float64 bits) to the client with a FrameQoS frame.
-	qosKick  chan struct{}
-	qosScale atomic.Uint64
-
-	// evictKick asks the writer to end the session with a typed notice:
-	// an "evicted: reason" error frame, then disconnect. evictReason is
-	// written once (evictOnce) before the kick.
-	evictKick   chan struct{}
-	evictReason string
-	evictOnce   sync.Once
 
 	// leg, on an edge node, is the upstream relay leg this session fans
-	// out from. Relay members live outside the subscriber registry (a
-	// group's members deliberately share one app name) and outside the
-	// engine; removal refcounts the leg instead of touching a filter.
-	leg *relayLeg
-	// relayEdge, on a core, names the edge an upstream leg session
-	// belongs to (empty for direct subscribers).
+	// out from. relayEdge, on a core, names the edge an upstream leg
+	// session belongs to (empty for direct subscribers).
+	leg       *relayLeg
 	relayEdge string
 }
 
-func newSubscriber(s *Server, app, source string, conn net.Conn, queue int) *subscriber {
-	sub := &subscriber{
-		s:          s,
-		app:        app,
-		source:     source,
-		conn:       conn,
-		out:        make(chan *frameBatch, queue),
-		done:       make(chan struct{}),
-		writerDone: make(chan struct{}),
-		scaleKick:  make(chan struct{}, 1),
-		qosKick:    make(chan struct{}, 1),
-		evictKick:  make(chan struct{}, 1),
-	}
-	sub.targetScale.Store(math.Float64bits(1))
-	if s.tel != nil {
-		sub.lat = telemetry.NewLatencyPair()
-	}
-	return sub
-}
-
-// sendBatch enqueues one release cycle's frames under the server's
-// slow-consumer policy — a single queue operation however many frames
-// the cycle released. It is called from shard workers; batches for one
-// source arrive from one worker at a time, in release order. The batch
-// and every frame reference in it are consumed: either the writer
-// releases them after the vectored write, or they are released here on
-// a drop.
-func (sub *subscriber) sendBatch(b *frameBatch) {
-	n := uint64(len(b.frames))
-	select {
-	case <-sub.done:
-		// The subscriber already left; frames queued for it are lost.
-		sub.drop(b, n)
-		return
-	default:
-	}
-	switch sub.s.cfg.Policy {
-	case PolicyDrop:
-		select {
-		case sub.out <- b:
-			sub.enqueued(n)
-		default:
-			sub.drop(b, n)
-		}
-	case PolicyDegrade:
-		// Zero-loss like block; additionally, each hand-off feeds the
-		// governor one pressure sample so a backlog tightens the
-		// subscriber's effective spec instead of stalling the pipeline
-		// indefinitely.
-		sub.observePressure()
-		select {
-		case sub.out <- b:
-			sub.enqueued(n)
-		case <-sub.done:
-			sub.drop(b, n)
-		}
-	default: // PolicyBlock
-		select {
-		case sub.out <- b:
-			sub.enqueued(n)
-		case <-sub.done:
-			sub.drop(b, n)
-		}
-	}
-}
-
-// observePressure feeds the degrade governor one sample — queue
-// occupancy plus the session's delivery-p99 estimate — and hands any
-// scale change to the applier. Runs on the source's owning shard
-// worker, which serializes all sends for this subscriber, so the
-// governor state needs no lock.
-func (sub *subscriber) observePressure() {
-	if sub.gov == nil {
-		return
-	}
-	var p99 time.Duration
-	if sub.lat != nil {
-		p99 = sub.lat.Snapshot().P99
-	}
-	scale, changed := sub.gov.Observe(time.Now(), len(sub.out), cap(sub.out), p99)
-	if !changed {
-		return
-	}
-	prev := math.Float64frombits(sub.targetScale.Load())
-	sub.targetScale.Store(math.Float64bits(scale))
-	if scale > prev {
-		sub.s.ctr.qosDegrades.Add(1)
-		sub.s.lg.Info("subscriber degraded", "app", sub.app, "source", sub.source, "scale", scale, "queue", len(sub.out), "p99", p99)
-	} else {
-		sub.s.ctr.qosRestores.Add(1)
-		sub.s.lg.Info("subscriber restored", "app", sub.app, "source", sub.source, "scale", scale)
-	}
-	select {
-	case sub.scaleKick <- struct{}{}:
-	default:
-	}
-}
-
-// scaleLoop applies governor decisions to the session's live filter.
-// SetScale must run at a tuple boundary on the source's owning worker,
-// and Control must never be called from that worker (it would enqueue
-// into the ring the worker itself drains), so the applier is its own
-// goroutine: the sender records a target and kicks; the applier applies
-// the newest target, then hands the announcement to the writer.
-func (sub *subscriber) scaleLoop() {
-	defer sub.s.connWG.Done()
-	for {
-		select {
-		case <-sub.done:
-			return
-		case <-sub.writerDone:
-			return
-		case <-sub.scaleKick:
-		}
-		target := math.Float64frombits(sub.targetScale.Load())
-		err := sub.s.runtimeOp(func() error {
-			return sub.s.rt.Control(sub.source, func(*core.Engine) error {
-				return sub.scalable.SetScale(target)
-			})
-		})
-		if err != nil {
-			// The source is finishing or the server draining; the session
-			// is about to end anyway.
-			continue
-		}
-		sub.qosScale.Store(math.Float64bits(target))
-		select {
-		case sub.qosKick <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// enqueued accounts a successful queue hand-off, then re-checks the
-// departure latch: writeLoop's exit sweep (drainQueued) and this send
-// can interleave so the batch lands after the sweep ran, which used to
-// strand its frame references outside the pool forever. If done turns
-// out closed, this sender sweeps the queue itself — channel receives
-// are exactly-once, so however many racing senders sweep, every
-// stranded batch is released exactly once.
-func (sub *subscriber) enqueued(n uint64) {
-	sub.s.ctr.deliveriesOut.Add(n)
-	select {
-	case <-sub.done:
-		sub.drainQueued()
-	default:
-	}
-}
-
-func (sub *subscriber) drop(b *frameBatch, n uint64) {
-	b.releaseAll()
-	dropped := sub.dropped.Add(n)
-	sub.s.ctr.subscriberDrops.Add(n)
-	if limit := sub.s.cfg.EvictAfterDrops; limit > 0 && dropped >= uint64(limit) {
-		sub.evict(fmt.Sprintf("%d deliveries dropped (limit %d)", dropped, limit))
-	}
+func newSubscriber(s *Server, m *broker.Sub, conn net.Conn) *subscriber {
+	return &subscriber{s: s, m: m, conn: conn, writerDone: make(chan struct{})}
 }
 
 // evictPrefix tags slow-consumer eviction notices inside error frames,
@@ -269,83 +47,22 @@ func (sub *subscriber) drop(b *frameBatch, n uint64) {
 // error.
 const evictPrefix = "evicted: "
 
-// evict asks the writer to end the session with a typed eviction
-// notice. Unlike the write-timeout eviction (where the socket itself is
-// the problem), a drop-threshold eviction happens while the connection
-// is writable, so the notice is deliverable.
-func (sub *subscriber) evict(reason string) {
-	sub.evictOnce.Do(func() {
-		select {
-		case <-sub.done:
-			// Already departed; drops past the end are not an eviction.
-			return
-		default:
-		}
-		sub.evictReason = reason
-		sub.s.ctr.subscriberEvictions.Add(1)
-		sub.s.lg.Warn("subscriber evicted", "app", sub.app, "source", sub.source, "reason", reason)
-		select {
-		case sub.evictKick <- struct{}{}:
-		default:
-		}
-	})
-}
-
-// leave marks the subscriber gone: sink sends stop blocking on it and the
-// writer exits without flushing (the peer is not reading anyway).
-func (sub *subscriber) leave() {
-	sub.leaveOnce.Do(func() { close(sub.done) })
-}
-
-// finishStream closes the queue after the source's last flush: the writer
-// drains what remains, sends a goodbye, and closes the connection. Safe
-// only once no sink flush can still target this subscriber.
-func (sub *subscriber) finishStream() {
-	sub.finOnce.Do(func() { close(sub.out) })
-}
-
-// droppedCount returns the deliveries lost to the slow-consumer policy.
-func (sub *subscriber) droppedCount() uint64 { return sub.dropped.Load() }
-
-// drainQueued releases batches left in the queue when the writer exits
-// without delivering them (departure or write error), so an abandoning
-// exit does not strand refcounted frames outside the pool. A batch a
-// racing sink enqueues after this sweep is caught by the sender itself:
-// sendBatch re-checks done after every successful enqueue (enqueued)
-// and runs this sweep again, so no interleaving leaks a frame.
-func (sub *subscriber) drainQueued() {
-	for {
-		select {
-		case b, ok := <-sub.out:
-			if !ok {
-				return
-			}
-			b.releaseAll()
-		default:
-			return
-		}
-	}
-}
-
 // egress is the writer's staging area for one vectored write: the iovec
 // list handed to net.Buffers and the frames behind it, released once the
 // kernel has the bytes.
 type egress struct {
 	bufs   net.Buffers
-	frames []*frame
+	frames []*broker.Frame
 	bytes  int
 }
 
-// stage appends a queued batch's frames to the pending vectored write
-// and recycles the batch slice (the frames are now referenced by the
-// egress staging until released).
-func (e *egress) stage(b *frameBatch) {
-	for _, fr := range b.frames {
-		e.bufs = append(e.bufs, fr.buf)
-		e.frames = append(e.frames, fr)
-		e.bytes += len(fr.buf)
-	}
-	putBatch(b)
+// stage appends a queued frame to the pending vectored write (the frame
+// reference is now held by the egress staging until released).
+func (e *egress) stage(fr *broker.Frame) {
+	b := fr.Bytes()
+	e.bufs = append(e.bufs, b)
+	e.frames = append(e.frames, fr)
+	e.bytes += len(b)
 }
 
 // flush ships the staged frames with one vectored write (net.Buffers
@@ -371,23 +88,12 @@ func (e *egress) flush(sub *subscriber) error {
 		tel.Observe(telemetry.StageEgressWrite, time.Since(t0))
 	}
 	if tel != nil && err == nil {
-		// One clock read covers the whole vectored write; per-frame
-		// latency is the write instant minus the tuple's source
-		// timestamp, fed to the session, group, and aggregate
-		// estimators (all alloc-free frugal updates).
-		now := time.Now().UnixNano()
-		for _, fr := range e.frames {
-			if fr.ts == 0 {
-				continue
-			}
-			d := time.Duration(now - fr.ts)
-			sub.lat.Observe(d)
-			fr.src.Observe(d)
-			tel.ObserveDelivery(d)
-		}
+		// The egress write is the networked delivery point: one clock
+		// read covers the whole vectored write.
+		sub.m.Delivered(time.Now().UnixNano(), e.frames...)
 	}
 	for _, fr := range e.frames {
-		fr.release()
+		fr.Release()
 	}
 	clear(e.frames)
 	clear(e.bufs)
@@ -397,135 +103,143 @@ func (e *egress) flush(sub *subscriber) error {
 	return err
 }
 
-// writeLoop owns the connection's write side: it streams queued frame
-// batches — coalescing whatever is already queued into one vectored
-// write instead of one syscall (or one buffer copy) per frame —
-// heartbeats when idle, and finishes with a goodbye when the stream
-// ends. On an externally initiated departure (done closed by readLoop's
-// removal) it exits without closing the connection: the read side still
-// owes the client its departure ack.
+// writeLoop owns the connection's write side: it streams queued frames —
+// coalescing whatever is already queued into one vectored write instead
+// of one syscall (or one buffer copy) per frame — heartbeats when idle,
+// announces QoS changes, and finishes with a goodbye when the stream
+// ends. On a client-initiated departure (the member left through
+// readLoop) it exits without closing the connection: the read side
+// still owes the client its departure ack.
 func (sub *subscriber) writeLoop() {
 	defer sub.s.connWG.Done()
 	defer close(sub.writerDone)
-	defer sub.drainQueued()
-	if sub.resume {
-		// History first: stream the app's slice of the durable log up to
-		// the splice fence. Live deliveries released meanwhile queue up
-		// in out (they all carry offsets >= spliceTo) and drain below in
-		// order, so the client sees one seamless, gapless stream.
-		if err := sub.replay(); err != nil {
-			if !errors.Is(err, errReplayAborted) {
-				sub.s.lg.Warn("replay failed", "source", sub.source, "app", sub.app, "err", err)
-				sub.s.removeSubscriber(sub)
-				sub.conn.Close()
-			}
-			return
+	s, m := sub.s, sub.m
+	fail := func() {
+		s.removeSubscriber(sub)
+		sub.conn.Close()
+	}
+	if err := sub.replay(); err != nil {
+		if !errors.Is(err, broker.ErrReplayAborted) {
+			s.lg.Warn("replay failed", "source", m.Source(), "app", m.App(), "err", err)
+			fail()
 		}
+		return
 	}
 	var e egress
+	// drain stages every frame already queued, flushing whenever a burst
+	// fills; it reports whether the queue was emptied without an error.
+	drain := func() error {
+		for {
+			select {
+			case fr := <-m.Frames():
+				e.stage(fr)
+				if e.bytes >= subWriteBatchBytes {
+					if err := e.flush(sub); err != nil {
+						return err
+					}
+				}
+			default:
+				return e.flush(sub)
+			}
+		}
+	}
 	goodbye := func() {
 		// A stream end during server drain is tagged so reconnect-aware
 		// subscribers resume against a restarted server instead of
 		// treating the end as the source finishing.
 		var payload []byte
-		if sub.s.isDraining() {
+		if s.isDraining() {
 			payload = goodbyeDrainPayload
 		}
-		sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
+		sub.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		_ = WriteFrame(sub.conn, FrameGoodbye, payload)
-		sub.leave()
+		s.removeSubscriber(sub)
 		sub.conn.Close()
 	}
-	hb := time.NewTicker(sub.s.cfg.HeartbeatInterval)
+	hb := time.NewTicker(s.cfg.HeartbeatInterval)
 	defer hb.Stop()
 	for {
 		select {
-		case <-sub.done:
-			return
-		case b, ok := <-sub.out:
-			if !ok {
+		case <-m.Done():
+			if reason := m.EvictReason(); reason != "" {
+				// Best-effort notice, then disconnect: the reason rides an
+				// error frame so the client sees a typed eviction, not a
+				// bare EOF.
+				sub.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+				_ = WriteFrame(sub.conn, FrameError, []byte(evictPrefix+reason))
+				fail()
+			} else if s.isDraining() {
+				// An aborted drain left every member; end the session here,
+				// since no client goodbye is coming to.
 				goodbye()
-				return
 			}
-			sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
-			e.stage(b)
-			closed := false
+			return
+		case fr := <-m.Frames():
+			sub.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			e.stage(fr)
 		coalesce:
-			// Fold batches already queued into this vectored write,
+			// Fold frames already queued into this vectored write,
 			// bounded so the deadline covers a bounded burst.
 			for e.bytes < subWriteBatchBytes {
 				select {
-				case more, ok := <-sub.out:
-					if !ok {
-						closed = true
-						break coalesce
-					}
+				case more := <-m.Frames():
 					e.stage(more)
 				default:
 					break coalesce
 				}
 			}
 			if err := e.flush(sub); err != nil {
-				sub.s.removeSubscriber(sub)
-				sub.conn.Close()
+				fail()
 				return
 			}
-			if closed {
-				goodbye()
+		case <-m.Ended():
+			// The source's final flush is queued: ship it, then end.
+			sub.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			if err := drain(); err != nil {
+				fail()
 				return
 			}
-		case <-sub.qosKick:
-			sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
-			if err := WriteFrame(sub.conn, FrameQoS, EncodeQoS(math.Float64frombits(sub.qosScale.Load()))); err != nil {
-				sub.s.removeSubscriber(sub)
-				sub.conn.Close()
-				return
-			}
-		case <-sub.evictKick:
-			// Best-effort notice, then disconnect: the reason rides an
-			// error frame so the client sees a typed eviction, not a bare
-			// EOF.
-			sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
-			_ = WriteFrame(sub.conn, FrameError, []byte(evictPrefix+sub.evictReason))
-			sub.s.removeSubscriber(sub)
-			sub.conn.Close()
+			goodbye()
 			return
+		case <-m.QoSChanged():
+			sub.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			if err := WriteFrame(sub.conn, FrameQoS, EncodeQoS(m.QoS())); err != nil {
+				fail()
+				return
+			}
 		case <-hb.C:
-			sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
+			sub.conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 			if err := WriteFrame(sub.conn, FrameHeartbeat, nil); err != nil {
-				sub.s.removeSubscriber(sub)
-				sub.conn.Close()
+				fail()
 				return
 			}
 		}
 	}
 }
 
-// errReplayAborted marks a replay cut short by the subscriber's own
-// departure — an orderly exit, not a failure.
-var errReplayAborted = errors.New("server: replay aborted by departure")
-
-// replay streams the records of [resumeFrom, spliceTo) addressed to
-// this app from the durable log, each as an offset-bearing transmission
-// frame. The log holds exactly the bytes the live fan-out delivered, so
-// the replayed stream is byte-identical to what the app would have
-// received live; records not naming the app (delivered while it was
-// away, to others) are skipped without decoding their tuples.
+// replay streams the member's history from the durable log, each record
+// as an offset-bearing transmission frame, before any live frame. The log
+// holds exactly the bytes the live fan-out delivered, so the replayed
+// stream is byte-identical to what the app would have received live.
+// Live frames released meanwhile queue up in the member queue (they all
+// carry offsets at or above the splice fence) and drain afterwards in
+// order, so the client sees one seamless, gapless stream.
 func (sub *subscriber) replay() error {
+	if resume, _, _ := sub.m.Resume(); !resume {
+		return nil
+	}
 	var buf []byte
-	err := sub.s.log.Read(sub.source, sub.resumeFrom, sub.spliceTo, func(off uint64, payload []byte) error {
-		select {
-		case <-sub.done:
-			return errReplayAborted
-		default:
+	for {
+		off, payload, err := sub.m.NextReplay()
+		if err == io.EOF {
+			break
 		}
-		if !wire.TransmissionHasDestination(payload, sub.app) {
-			return nil
+		if err != nil {
+			return err
 		}
-		buf = beginFrame(buf[:0], FrameTransmissionOff)
+		buf = broker.BeginFrame(buf[:0], FrameTransmissionOff)
 		buf = binary.LittleEndian.AppendUint64(buf, off)
-		buf = append(buf, payload...)
-		buf = endFrame(buf)
+		buf = broker.EndFrame(append(buf, payload...))
 		sub.conn.SetWriteDeadline(time.Now().Add(sub.s.cfg.WriteTimeout))
 		n, err := sub.conn.Write(buf)
 		sub.s.ctr.bytesOut.Add(uint64(n))
@@ -533,12 +247,9 @@ func (sub *subscriber) replay() error {
 			return err
 		}
 		sub.s.ctr.replayRecordsOut.Add(1)
-		return nil
-	})
-	if err == nil {
-		sub.s.ctr.replaysServed.Add(1)
 	}
-	return err
+	sub.s.ctr.replaysServed.Add(1)
+	return nil
 }
 
 // readLoop consumes the client's side of the session until it leaves
@@ -561,9 +272,9 @@ func (sub *subscriber) readLoop() {
 		}
 	}
 	select {
-	case <-sub.done:
-		// The session already ended server-side (source finished or
-		// shutdown); the registry entry is gone.
+	case <-sub.m.Done():
+		// The session already ended server-side (source finished,
+		// eviction or shutdown).
 	default:
 		sub.s.removeSubscriber(sub)
 		<-sub.writerDone
