@@ -58,6 +58,32 @@ func TestStepAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestStepAllocsGroup8 is the allocation gate for the groups workload's
+// group shape: 8 DC1 members on NAMOS tmpr4 joined through AddFilter
+// (group8Engine). Nearly all of its allocations are retained output and
+// candidate-set members; the budget sits just above the 10.0 per Step
+// measured once the region tracker, open-list removals and release
+// grouping stopped using maps (10.6 before), so bookkeeping churn coming
+// back trips it.
+func TestStepAllocsGroup8(t *testing.T) {
+	sr, stat := group8Series(t, 2000)
+	const perStepBudget = 10.5
+	avg := testing.AllocsPerRun(3, func() {
+		e := group8Engine(t, stat)
+		for i := 0; i < sr.Len(); i++ {
+			if err := e.Step(sr.At(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := e.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perStep := avg / float64(sr.Len()); perStep > perStepBudget {
+		t.Errorf("%.2f allocs per Step on the 8-member group, budget %.1f", perStep, perStepBudget)
+	}
+}
+
 // TestSeqCounts covers the generational utility index directly, including
 // rebase-on-empty, prefix reclamation and the defensive rewind path.
 func TestSeqCounts(t *testing.T) {

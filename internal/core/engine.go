@@ -73,9 +73,6 @@ type Engine struct {
 
 	// Scratch state, owned by the engine and reused across steps.
 
-	// seqScratch marks sequence numbers during batch removals; cleared in
-	// place after each use.
-	seqScratch map[int]struct{}
 	// minsBuf backs openMins.
 	minsBuf []time.Time
 	// regionOuts stages one region's outputs during handleRegion.
@@ -89,10 +86,8 @@ type Engine struct {
 	poFree [][]pendingOut
 	// solver decides regions with reusable greedy state.
 	solver hitting.Solver
-	// rel* back mergeRelease (see output.go).
-	relIdx   map[int]int
-	relTrs   []Transmission
-	relOrder []int
+	// relDests collects one released tuple's labels in mergeRelease.
+	relDests []string
 }
 
 type chosenRec struct {
@@ -139,8 +134,6 @@ func newEngine(filters []filter.Filter, opts Options, allowEmpty bool) (*Engine,
 		distinct:       make(map[int]bool),
 		maxReleasedSeq: -1,
 		result:         Result{Stats: Stats{PerFilter: make(map[string]int)}},
-		seqScratch:     make(map[int]struct{}),
-		relIdx:         make(map[int]int),
 	}, nil
 }
 
@@ -223,7 +216,7 @@ func (e *Engine) Finish() error {
 		cs, dismissed := f.Cut()
 		e.applyDismissals(i, dismissed)
 		if cs != nil {
-			e.removeOpenMembers(i, cs)
+			e.removeOpen(i, cs.Members)
 			if err := e.handleClosed(f, cs); err != nil {
 				return err
 			}
@@ -278,7 +271,7 @@ func (e *Engine) apply(i int, f filter.Filter, t *tuple.Tuple, ev filter.Event) 
 			return nil
 		}
 		cs := ev.Closed
-		e.removeOpenMembers(i, cs)
+		e.removeOpen(i, cs.Members)
 		if !f.Stateful() {
 			return e.handleClosed(f, cs)
 		}
@@ -314,64 +307,36 @@ func (e *Engine) handleClosed(f filter.Filter, cs *filter.CandidateSet) error {
 }
 
 // applyDismissals decrements utilities and open tracking for dismissed
-// tuples. The open list is compacted in one in-place pass instead of one
-// O(n) copy per dismissal.
+// tuples.
 func (e *Engine) applyDismissals(i int, dismissed []*tuple.Tuple) {
-	switch len(dismissed) {
-	case 0:
-		return
-	case 1:
-		e.util.dec(dismissed[0].Seq)
-		e.removeOpen(i, dismissed[0].Seq)
+	if len(dismissed) == 0 {
 		return
 	}
-	clear(e.seqScratch)
 	for _, d := range dismissed {
 		e.util.dec(d.Seq)
-		e.seqScratch[d.Seq] = struct{}{}
 	}
-	list := e.open[i]
-	keep := list[:0]
-	for _, t := range list {
-		if _, drop := e.seqScratch[t.Seq]; !drop {
-			keep = append(keep, t)
-		}
-	}
-	for j := len(keep); j < len(list); j++ {
-		list[j] = nil
-	}
-	e.open[i] = keep
+	e.removeOpen(i, dismissed)
 }
 
-func (e *Engine) removeOpen(i, seq int) {
-	list := e.open[i]
-	for j, t := range list {
-		if t.Seq == seq {
-			copy(list[j:], list[j+1:])
-			list[len(list)-1] = nil
-			e.open[i] = list[:len(list)-1]
-			return
-		}
-	}
-}
-
-// removeOpenMembers drops a closed set's members from the filter's open
-// tracking.
-func (e *Engine) removeOpenMembers(i int, cs *filter.CandidateSet) {
-	clear(e.seqScratch)
-	for _, m := range cs.Members {
-		e.seqScratch[m.Seq] = struct{}{}
-	}
+// removeOpen removes every tuple of drop from the open list of the filter
+// at slot i. Open lists, candidate-set members and dismissal lists are all
+// in arrival order, which is timestamp order (Step rejects a timestamp
+// that does not increase), so one two-pointer merge on timestamps compacts
+// the list in place.
+func (e *Engine) removeOpen(i int, drop []*tuple.Tuple) {
 	list := e.open[i]
 	keep := list[:0]
+	d := 0
 	for _, t := range list {
-		if _, member := e.seqScratch[t.Seq]; !member {
-			keep = append(keep, t)
+		for d < len(drop) && drop[d].TS.Before(t.TS) {
+			d++
 		}
+		if d < len(drop) && drop[d].TS.Equal(t.TS) {
+			continue
+		}
+		keep = append(keep, t)
 	}
-	for j := len(keep); j < len(list); j++ {
-		list[j] = nil
-	}
+	clear(list[len(keep):])
 	e.open[i] = keep
 }
 
@@ -701,7 +666,7 @@ func (e *Engine) cutFilter(i int) error {
 	if cs == nil {
 		return nil
 	}
-	e.removeOpenMembers(i, cs)
+	e.removeOpen(i, cs.Members)
 	return e.handleClosed(f, cs)
 }
 

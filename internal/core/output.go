@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -118,69 +120,48 @@ type pendingOut struct {
 
 // mergeRelease folds pending outputs released at the same instant into
 // transmissions, merging destination lists of the same tuple, and records
-// stats. Destination lists are sorted for determinism. The grouping state
-// (relIdx/relTrs/relOrder) is engine-owned scratch reused across calls;
-// only the retained per-transmission destination list is allocated.
+// stats. Transmissions go out in sequence order and destination lists are
+// sorted, for determinism. Grouping sorts outs in place by sequence (every
+// caller discards outs afterwards) and takes runs of one tuple; a release
+// holds few outputs, mostly already in order. Only the retained
+// per-transmission destination list is allocated.
 func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
-	if len(outs) == 0 {
-		return
-	}
-	clear(e.relIdx)
-	e.relOrder = e.relOrder[:0]
-	trs := e.relTrs[:0]
-	for _, po := range outs {
-		i, ok := e.relIdx[po.t.Seq]
-		if !ok {
-			i = len(trs)
-			if i < cap(trs) {
-				// Reuse the slot, keeping its Destinations backing array.
-				trs = trs[:i+1]
-				trs[i].Tuple, trs[i].ReleasedAt = po.t, releasedAt
-				trs[i].Destinations = trs[i].Destinations[:0]
+	slices.SortStableFunc(outs, func(a, b pendingOut) int {
+		return cmp.Compare(a.t.Seq, b.t.Seq)
+	})
+	st := &e.result.Stats
+	for i := 0; i < len(outs); {
+		t := outs[i].t
+		labels := e.relDests[:0]
+		for ; i < len(outs) && outs[i].t.Seq == t.Seq; i++ {
+			if outs[i].dests != nil {
+				labels = append(labels, outs[i].dests...)
 			} else {
-				trs = append(trs, Transmission{Tuple: po.t, ReleasedAt: releasedAt})
+				labels = append(labels, outs[i].dest)
 			}
-			e.relIdx[po.t.Seq] = i
-			e.relOrder = append(e.relOrder, po.t.Seq)
 		}
-		if po.dests != nil {
-			trs[i].Destinations = append(trs[i].Destinations, po.dests...)
-		} else {
-			trs[i].Destinations = append(trs[i].Destinations, po.dest)
-		}
-	}
-	sort.Ints(e.relOrder)
-	for _, seq := range e.relOrder {
-		tr := &trs[e.relIdx[seq]]
-		sort.Strings(tr.Destinations)
+		sort.Strings(labels)
 		// The result retains the transmission; give it a right-sized
 		// destination list so the scratch array stays recyclable.
-		dests := make([]string, len(tr.Destinations))
-		copy(dests, tr.Destinations)
+		dests := slices.Clone(labels)
+		e.relDests = labels
 		e.result.Transmissions = append(e.result.Transmissions,
-			Transmission{Tuple: tr.Tuple, Destinations: dests, ReleasedAt: tr.ReleasedAt})
-		st := &e.result.Stats
-		if seq < e.maxReleasedSeq {
+			Transmission{Tuple: t, Destinations: dests, ReleasedAt: releasedAt})
+		if t.Seq < e.maxReleasedSeq {
 			st.MultiplexDisorder++
 		} else {
-			e.maxReleasedSeq = seq
+			e.maxReleasedSeq = t.Seq
 		}
 		st.Transmissions++
 		st.Deliveries += len(dests)
-		if !e.distinct[seq] {
-			e.distinct[seq] = true
+		if !e.distinct[t.Seq] {
+			e.distinct[t.Seq] = true
 			st.DistinctOutputs++
 		}
-		lat := releasedAt.Sub(tr.Tuple.TS) + e.opts.MulticastDelay
+		lat := releasedAt.Sub(t.TS) + e.opts.MulticastDelay
 		for _, d := range dests {
 			st.PerFilter[d]++
 			st.Latencies = append(st.Latencies, lat)
 		}
 	}
-	// Drop tuple pointers from the scratch so released tuples are not
-	// pinned by the next window's unused capacity.
-	for i := range trs {
-		trs[i].Tuple = nil
-	}
-	e.relTrs = trs[:0]
 }

@@ -67,8 +67,11 @@ func (u *seqCounts) inc(seq int) {
 		return
 	}
 	pos := u.head + i
-	if pos >= len(u.buf) {
-		u.buf = append(u.buf, make([]int32, pos+1-len(u.buf))...)
+	// The window grows one slot per new tuple, so zero-fill by appending
+	// rather than through a temporary slice (which the compiler does not
+	// elide under -race, where it allocated once per Step).
+	for pos >= len(u.buf) {
+		u.buf = append(u.buf, 0)
 	}
 	if u.buf[pos] == 0 {
 		u.live++

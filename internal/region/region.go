@@ -18,6 +18,8 @@ type Region struct {
 	// Sets are the member candidate sets, ordered by their earliest
 	// timestamp.
 	Sets []*filter.CandidateSet
+	// seqs is TupleCount's scratch, kept across calls.
+	seqs []int
 }
 
 // Cover returns the region's time cover: the union of its sets' covers
@@ -44,13 +46,23 @@ func (r *Region) TupleCount() int {
 	if len(r.Sets) == 1 {
 		return len(r.Sets[0].Members)
 	}
-	seen := make(map[int]bool)
+	// Count distinct sequence numbers by sorting them in the region's
+	// reusable scratch rather than building a per-region set.
+	seqs := r.seqs[:0]
 	for _, cs := range r.Sets {
 		for _, m := range cs.Members {
-			seen[m.Seq] = true
+			seqs = append(seqs, m.Seq)
 		}
 	}
-	return len(seen)
+	slices.Sort(seqs)
+	n := 0
+	for i, seq := range seqs {
+		if i == 0 || seq != seqs[i-1] {
+			n++
+		}
+	}
+	r.seqs = seqs
+	return n
 }
 
 // ClosedByCut reports whether any member set was closed by a timely cut;
@@ -78,13 +90,52 @@ func (r *Region) ClosedByCut() bool {
 // utility check (a closed set containing a tuple whose utility exceeds the
 // closed-set count implies an open set admitting it), expressed on time
 // covers.
+//
+// Pending sets are kept ordered by start time, ties in insertion order.
+// Connectivity over intervals is exactly interval overlap (with transitive
+// closure), so components are contiguous runs of that order; they are
+// disjoint in time, so a later component's cover ends later, and the
+// components that are final always form a prefix.
 type Tracker struct {
 	pending []*filter.CandidateSet
+
+	// scanEnd and scanMax carry the walk of the front component from one
+	// Ready call to the next: pending[:scanEnd] is connected, with cover
+	// end scanMax. Zero scanEnd means nothing is carried.
+	scanEnd int
+	scanMax time.Time
+
+	// Scratch behind the regions Ready and Flush return, reused by the
+	// next call: sets holds the emitted sets, regions their grouping, and
+	// out the returned pointers.
+	sets    []*filter.CandidateSet
+	regions []Region
+	out     []*Region
 }
 
-// Add registers a closed candidate set.
+// Add registers a closed candidate set, inserting it after every pending
+// set that starts no later than it does.
 func (tr *Tracker) Add(cs *filter.CandidateSet) {
-	tr.pending = append(tr.pending, cs)
+	start := cs.MinTS()
+	i := len(tr.pending)
+	// Sets mostly close in start order, so the insertion point is at or
+	// near the end.
+	for i > 0 && tr.pending[i-1].MinTS().After(start) {
+		i--
+	}
+	tr.pending = slices.Insert(tr.pending, i, cs)
+	switch {
+	case i == 0:
+		// A new front set need not touch the old front.
+		tr.scanEnd = 0
+	case i < tr.scanEnd:
+		// The set starts no later than the set it displaced, which the
+		// carried walk had already connected, so it joins the walk.
+		tr.scanEnd++
+		if max := cs.MaxTS(); max.After(tr.scanMax) {
+			tr.scanMax = max
+		}
+	}
 }
 
 // PendingSets returns the number of closed sets not yet emitted.
@@ -96,105 +147,144 @@ func (tr *Tracker) EarliestPending() (time.Time, bool) {
 	if len(tr.pending) == 0 {
 		return time.Time{}, false
 	}
-	min := tr.pending[0].MinTS()
-	for _, cs := range tr.pending[1:] {
-		if cs.MinTS().Before(min) {
-			min = cs.MinTS()
-		}
-	}
-	return min, true
-}
-
-// sortPending stably orders the pending sets by start time, in place.
-// Connectivity over intervals is exactly interval overlap (with transitive
-// closure), so sorting by start time and sweep-merging yields components.
-func (tr *Tracker) sortPending() {
-	slices.SortStableFunc(tr.pending, func(a, b *filter.CandidateSet) int {
-		switch {
-		case a.MinTS().Before(b.MinTS()):
-			return -1
-		case b.MinTS().Before(a.MinTS()):
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
-// componentEnd returns the end index (exclusive) and cover maximum of the
-// connected component starting at index i of the sorted pending slice.
-func (tr *Tracker) componentEnd(i int) (int, time.Time) {
-	curMax := tr.pending[i].MaxTS()
-	j := i + 1
-	for j < len(tr.pending) && !tr.pending[j].MinTS().After(curMax) {
-		// Touching covers are connected.
-		if tr.pending[j].MaxTS().After(curMax) {
-			curMax = tr.pending[j].MaxTS()
-		}
-		j++
-	}
-	return j, curMax
+	return tr.pending[0].MinTS(), true
 }
 
 // Ready extracts and returns every region that can no longer grow, given
 // the earliest admitted timestamps of all currently open candidate sets
 // and the current stream time (the timestamp of the most recently
-// processed tuple). Extracted sets leave the tracker. The sweep runs in
-// place over the pending slice: the steady state (no region ready yet)
-// allocates nothing.
+// processed tuple). Extracted sets leave the tracker.
+//
+// The sweep walks components from the front and stops at the first one
+// that can still grow, as soon as its cover reaches past now or an open
+// set's start. Where it stopped carries over to the next call, so the
+// steady state (no region ready yet) resumes the front component's walk
+// instead of repeating it, and allocates nothing. The returned regions and
+// their Sets slices are tracker scratch, valid until the next call to
+// Ready or Flush; the candidate sets themselves are the caller's.
 func (tr *Tracker) Ready(openMins []time.Time, now time.Time) []*Region {
-	n := len(tr.pending)
-	if n == 0 {
+	tr.resetScratch()
+	if len(tr.pending) == 0 {
 		return nil
 	}
-	tr.sortPending()
-	var ready []*Region
-	keep := tr.pending[:0]
-	for i := 0; i < n; {
-		j, max := tr.componentEnd(i)
-		ok := !max.After(now)
-		if ok {
-			for _, om := range openMins {
-				if !om.After(max) {
-					ok = false
-					break
-				}
-			}
+	h := horizon{now: now, open: len(openMins) > 0}
+	for i, om := range openMins {
+		if i == 0 || om.Before(h.openMin) {
+			h.openMin = om
 		}
-		if ok {
-			sets := make([]*filter.CandidateSet, j-i)
-			copy(sets, tr.pending[i:j])
-			ready = append(ready, &Region{Sets: sets})
-		} else {
-			// keep trails i, so this in-place compaction never overwrites
-			// a component not yet visited.
-			keep = append(keep, tr.pending[i:j]...)
+	}
+	start, end, max := 0, tr.scanEnd, tr.scanMax // the ready prefix is pending[:start]
+	if end == 0 {
+		end, max = 1, tr.pending[0].MaxTS()
+	}
+	for {
+		var ok bool
+		if end, max, ok = tr.walk(end, max, &h); !ok {
+			tr.scanEnd, tr.scanMax = end-start, max
+			break
 		}
-		i = j
+		tr.addRegion(start, end)
+		start = end
+		if start == len(tr.pending) {
+			tr.scanEnd = 0
+			break
+		}
+		end, max = start+1, tr.pending[start].MaxTS()
 	}
-	for k := len(keep); k < n; k++ {
-		tr.pending[k] = nil
+	if start == 0 {
+		return nil
 	}
-	tr.pending = keep
-	return ready
+	n := copy(tr.pending, tr.pending[start:])
+	clear(tr.pending[n:])
+	tr.pending = tr.pending[:n]
+	return tr.result()
 }
 
 // Flush extracts every remaining region regardless of growth potential;
-// used at end of stream.
+// used at end of stream. The returned regions follow Ready's reuse
+// contract.
 func (tr *Tracker) Flush() []*Region {
-	n := len(tr.pending)
-	if n == 0 {
+	tr.resetScratch()
+	tr.scanEnd = 0
+	if len(tr.pending) == 0 {
 		return nil
 	}
-	tr.sortPending()
-	var out []*Region
-	for i := 0; i < n; {
-		j, _ := tr.componentEnd(i)
-		sets := make([]*filter.CandidateSet, j-i)
-		copy(sets, tr.pending[i:j])
-		out = append(out, &Region{Sets: sets})
+	for i := 0; i < len(tr.pending); {
+		j, _, _ := tr.walk(i+1, tr.pending[i].MaxTS(), nil)
+		tr.addRegion(i, j)
 		i = j
 	}
-	tr.pending = nil
-	return out
+	clear(tr.pending)
+	tr.pending = tr.pending[:0]
+	return tr.result()
+}
+
+// horizon is how far the cover of a component that can no longer grow may
+// reach: to now at most, and short of the earliest open set's start.
+type horizon struct {
+	now     time.Time
+	open    bool
+	openMin time.Time
+}
+
+// final reports whether a cover ending at max is within the horizon.
+func (h *horizon) final(max time.Time) bool {
+	return !max.After(h.now) && (!h.open || h.openMin.After(max))
+}
+
+// walk extends a connected run of pending sets that ends before index j
+// and whose cover ends at max to the end of its component, returning that
+// end and the component's cover end. Given a horizon it gives up,
+// reporting false, as soon as max passes it; the run up to the returned
+// index is then still connected and ends at the returned max. Without a
+// horizon it always walks the whole component.
+func (tr *Tracker) walk(j int, max time.Time, h *horizon) (int, time.Time, bool) {
+	if h != nil && !h.final(max) {
+		return j, max, false
+	}
+	for ; j < len(tr.pending) && !tr.pending[j].MinTS().After(max); j++ {
+		// Touching covers are connected.
+		if m := tr.pending[j].MaxTS(); m.After(max) {
+			max = m
+			if h != nil && !h.final(max) {
+				return j + 1, max, false
+			}
+		}
+	}
+	return j, max, true
+}
+
+// addRegion stages pending[i:j] as one emitted region.
+func (tr *Tracker) addRegion(i, j int) {
+	from := len(tr.sets)
+	tr.sets = append(tr.sets, tr.pending[i:j]...)
+	k := len(tr.regions)
+	if k < cap(tr.regions) {
+		// Reuse the slot, keeping its TupleCount scratch.
+		tr.regions = tr.regions[:k+1]
+	} else {
+		tr.regions = append(tr.regions, Region{})
+	}
+	// The full slice expression keeps an append by the caller from
+	// overwriting the next region's sets.
+	tr.regions[k].Sets = tr.sets[from:len(tr.sets):len(tr.sets)]
+}
+
+// result returns pointers to the staged regions. They are taken only now
+// because staging may grow, and so move, the region array.
+func (tr *Tracker) result() []*Region {
+	for i := range tr.regions {
+		tr.out = append(tr.out, &tr.regions[i])
+	}
+	return tr.out
+}
+
+// resetScratch drops the previous call's regions, so the scratch does not
+// pin emitted sets past their use.
+func (tr *Tracker) resetScratch() {
+	clear(tr.sets)
+	tr.sets = tr.sets[:0]
+	tr.regions = tr.regions[:0]
+	clear(tr.out)
+	tr.out = tr.out[:0]
 }
