@@ -9,9 +9,10 @@ import (
 
 // Embedded is the in-process Broker implementation: sources and
 // subscriptions run directly on the sharded group-aware runtime, with no
-// sockets in the loop. It is the deployment for single-process services,
-// tests, and the batch Run* wrappers; it exposes the engine results and
-// shard metrics a networked client cannot see.
+// sockets in the loop. It is the deployment for single-process services
+// and tests (the batch Run* wrappers use the same sharded runtime); it
+// exposes the engine stats and shard metrics a networked client cannot
+// see.
 type Embedded struct {
 	b *broker.Broker
 }
@@ -84,7 +85,12 @@ func (e *Embedded) Close(ctx context.Context) error { return e.b.Close(ctx) }
 
 // Results returns the per-source engine results accumulated so far —
 // settled once the sources finished (or after Close). The embedded
-// broker retains finished sources so batch runs can read them.
+// broker retains finished sources so their results stay readable. The
+// Stats (inputs, distinct outputs, transmissions, deliveries, per-app
+// counts, regions) cover each source's whole run; the transmission list,
+// punctuations and Stats.Latencies are empty, because a live source hands
+// every release to its subscribers instead of keeping it. Use Run or
+// RunSharded for a finite run whose released sequence is the product.
 func (e *Embedded) Results() map[string]*Result { return e.b.Results() }
 
 // Metrics returns the per-shard runtime counters.

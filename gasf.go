@@ -40,14 +40,10 @@ package gasf
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"gasf/internal/adapt"
-	"gasf/internal/broker"
 	"gasf/internal/core"
 	"gasf/internal/filter"
 	"gasf/internal/quality"
@@ -192,9 +188,9 @@ func NewEngine(filters []Filter, opts Options) (*Engine, error) {
 }
 
 // Run drives a complete series through a fresh engine and returns its
-// transmissions and statistics. It is a convenience wrapper over an
-// embedded Broker (see NewEmbedded): the group joins a single live
-// source, the series is published, and the engine result is returned —
+// transmissions and statistics. It runs the group on the sharded runtime
+// the embedded Broker (see NewEmbedded) is built on: the series is fed to
+// a single source and its whole-run engine result is returned —
 // byte-identical to the long-lived streaming path the broker serves.
 func Run(filters []Filter, sr *Series, opts Options) (*Result, error) {
 	if sr == nil {
@@ -206,7 +202,7 @@ func Run(filters []Filter, sr *Series, opts Options) (*Result, error) {
 		opts.ShardCount = 1
 	}
 	const name = "source"
-	results, _, err := runEmbeddedBatch(map[string][]Filter{name: filters}, map[string]*tuple.Series{name: sr}, opts)
+	results, _, err := runBatch(map[string][]Filter{name: filters}, map[string]*tuple.Series{name: sr}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -234,8 +230,8 @@ type LatencySnapshot = telemetry.LatencySnapshot
 // single-source semantics — its released sequence is identical to a
 // sequential Run of the same group over the same series. groups and
 // series must share the same source names. The returned snapshots carry
-// the per-shard runtime counters of the completed run. Like Run, it is a
-// convenience wrapper over an embedded Broker.
+// the per-shard runtime counters of the completed run. Like Run, it runs
+// on the runtime the embedded Broker is built on.
 func RunSharded(groups map[string][]Filter, series map[string]*Series, opts Options) (map[string]*Result, []ShardSnapshot, error) {
 	if len(groups) == 0 {
 		return nil, nil, fmt.Errorf("gasf: RunSharded needs at least one source group")
@@ -248,85 +244,32 @@ func RunSharded(groups map[string][]Filter, series map[string]*Series, opts Opti
 	if len(series) != len(groups) {
 		return nil, nil, fmt.Errorf("gasf: %d series for %d source groups", len(series), len(groups))
 	}
-	return runEmbeddedBatch(groups, series, opts)
+	return runBatch(groups, series, opts)
 }
 
-// runEmbeddedBatch is the engine room of the Run* wrappers: an embedded
-// broker is started with the given engine options, every group joins its
-// live source with engine-only membership (no delivery plane), each
-// series is published by its own producer with batched hand-offs, and
-// the broker drains. The per-source engine results and shard snapshots
-// of the completed run are returned.
-func runEmbeddedBatch(groups map[string][]Filter, series map[string]*tuple.Series, opts Options) (map[string]*Result, []ShardSnapshot, error) {
-	ctx := context.Background()
-	names := make([]string, 0, len(groups))
+// runBatch is the engine room of the Run* wrappers: every group gets its
+// own engine on a shard runtime started with no sink (a batch run has no
+// delivery plane, so each engine keeps its whole run), each series is fed
+// by its own producer with batched hand-offs, and the runtime drains. The
+// per-source engine results and shard snapshots of the completed run are
+// returned.
+func runBatch(groups map[string][]Filter, series map[string]*tuple.Series, opts Options) (map[string]*Result, []ShardSnapshot, error) {
+	rt := shard.New(shard.FromOptions(opts))
 	for name, filters := range groups {
 		if len(filters) == 0 {
 			return nil, nil, fmt.Errorf("gasf: source %q needs at least one filter", name)
 		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	b, err := broker.New(broker.Config{Engine: opts})
-	if err != nil {
-		return nil, nil, fmt.Errorf("gasf: %w", err)
-	}
-	sources := make(map[string]*broker.Source, len(names))
-	for _, name := range names {
-		src, err := b.OpenSource(name, series[name].Schema())
-		if err == nil {
-			for _, f := range groups[name] {
-				if err = b.AttachFilter(ctx, name, f); err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
-			b.Close(ctx)
+		if err := rt.AddGroup(name, filters, opts); err != nil {
 			return nil, nil, fmt.Errorf("gasf: %w", err)
 		}
-		sources[name] = src
 	}
-	flush := opts.FlushBatch
-	if flush <= 0 {
-		flush = shard.DefaultFlushBatch
-	}
-	var (
-		wg    sync.WaitGroup
-		errMu sync.Mutex
-		errs  []error
-	)
-	record := func(err error) {
-		errMu.Lock()
-		errs = append(errs, err)
-		errMu.Unlock()
-	}
-	for _, name := range names {
-		wg.Add(1)
-		go func(src *broker.Source, sr *tuple.Series) {
-			defer wg.Done()
-			all := sr.Tuples()
-			for len(all) > 0 {
-				n := min(flush, len(all))
-				if err := src.PublishBatch(ctx, all[:n]); err != nil {
-					record(err)
-					return
-				}
-				all = all[n:]
-			}
-			if err := src.Finish(ctx); err != nil {
-				record(err)
-			}
-		}(sources[name], series[name])
-	}
-	wg.Wait()
-	if err := b.Close(ctx); err != nil {
-		record(err)
-	}
-	if err := errors.Join(errs...); err != nil {
+	if err := rt.Start(context.Background(), nil); err != nil {
 		return nil, nil, fmt.Errorf("gasf: %w", err)
 	}
-	return b.Results(), b.Metrics(), nil
+	if err := rt.FeedAll(series); err != nil {
+		return nil, nil, fmt.Errorf("gasf: %w", err)
+	}
+	return rt.Results(), rt.Metrics(), nil
 }
 
 // RunSelfInterested runs the paper's baseline: every filter selects its

@@ -36,7 +36,6 @@ import (
 
 	"gasf/internal/adapt"
 	"gasf/internal/core"
-	"gasf/internal/filter"
 	"gasf/internal/flowgap"
 	"gasf/internal/quality"
 	"gasf/internal/seglog"
@@ -397,7 +396,10 @@ func (b *Broker) Runtime() *shard.Runtime { return b.rt }
 // Results returns the per-source engine results accumulated so far; call
 // after the sources finished (or after Close) for settled results.
 // Finished sources stay registered (and their results readable) unless
-// they were retired with Source.Retire.
+// they were retired with Source.Retire. The Stats cover each source's
+// whole run, but a source hands every release to its members as it goes,
+// so Transmissions, Punctuations and Stats.Latencies are empty: a live
+// source keeps only its engine's window.
 func (b *Broker) Results() map[string]*core.Result { return b.rt.Results() }
 
 // Metrics returns the per-shard runtime counters.
@@ -680,18 +682,6 @@ func (b *Broker) isClosed() bool {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.closed
-}
-
-// AttachFilter joins a pre-built filter to a source's live group with no
-// delivery session: the engine coordinates it and its outputs appear in
-// the source's Result, but nothing is fanned out for it. The batch Run
-// wrappers in the facade use it to drive finite runs without a delivery
-// plane.
-func (b *Broker) AttachFilter(ctx context.Context, source string, f filter.Filter) error {
-	if f == nil {
-		return fmt.Errorf("broker: nil filter for source %q", source)
-	}
-	return b.rt.ControlContext(ctx, source, func(e *core.Engine) error { return e.AddFilter(f) })
 }
 
 // SubOptions parameterizes Subscribe.

@@ -63,13 +63,18 @@ type Engine struct {
 	chosenQ    []chosenRec
 	chosenHead int
 
-	distinct       map[int]bool
+	// marks records released sequence numbers for DistinctOutputs while
+	// they could still be released again (see releaseMarks).
+	marks          releaseMarks
 	maxReleasedSeq int
 	result         Result
-	now            time.Time
-	started        bool
-	lastTS         time.Time
-	finished       bool
+	// handed is the length of the last TakeReleased hand-off, so the next
+	// take can clear the recycled slots it no longer uses.
+	handed   int
+	now      time.Time
+	started  bool
+	lastTS   time.Time
+	finished bool
 
 	// Scratch state, owned by the engine and reused across steps.
 
@@ -131,7 +136,6 @@ func newEngine(filters []filter.Filter, opts Options, allowEmpty bool) (*Engine,
 		decidedPicks:   make(map[*filter.CandidateSet][]*tuple.Tuple),
 		attached:       make(map[*filter.CandidateSet][]pendingOut),
 		chosen:         make(map[int]time.Time),
-		distinct:       make(map[int]bool),
 		maxReleasedSeq: -1,
 		result:         Result{Stats: Stats{PerFilter: make(map[string]int)}},
 	}, nil
@@ -200,6 +204,7 @@ func (e *Engine) Step(t *tuple.Tuple) error {
 	}
 
 	e.started, e.lastTS = true, t.TS
+	e.pruneMarks()
 	e.result.Stats.Inputs++
 	e.result.Stats.CPU += time.Since(start)
 	return nil
@@ -233,13 +238,55 @@ func (e *Engine) Finish() error {
 	}
 	e.releaseBatch()
 	e.finished = true
+	// Nothing is released after Finish, so no mark is needed any more.
+	e.marks = releaseMarks{}
 	e.result.Stats.CPU += time.Since(start)
 	return nil
 }
 
 // Result returns the accumulated transmissions and statistics. Call after
-// Finish for complete results.
+// Finish for complete results; see Result for what an engine that
+// TakeReleased hands off from keeps.
 func (e *Engine) Result() *Result { return &e.result }
+
+// TakeReleased hands over the transmissions released since the last take,
+// in release order, for a host that disseminates them as they come. The
+// engine then forgets them, together with their Stats.Latencies samples
+// and any punctuations, which no sink receives; the Stats counters stay
+// exact. The returned slice is engine-owned and valid until the next
+// Step, Finish, AddFilter or RemoveFilter call. An engine nobody takes
+// from keeps its whole run in Result.
+func (e *Engine) TakeReleased() []Transmission {
+	trs := e.result.Transmissions
+	if n := len(trs); n < e.handed {
+		// Slots the previous hand-off used and this one did not: clear
+		// them so the recycled array pins no released tuple.
+		clear(trs[n:e.handed])
+	}
+	e.handed = len(trs)
+	e.result.Transmissions = trs[:0]
+	e.result.Punctuations = e.result.Punctuations[:0]
+	e.result.Stats.Latencies = e.result.Stats.Latencies[:0]
+	return trs
+}
+
+// ReleaseMarks returns the number of released sequence numbers the engine
+// still tracks for DistinctOutputs; it stays bounded by the live window.
+func (e *Engine) ReleaseMarks() int { return e.marks.len() }
+
+// pruneMarks forgets the release marks no future release can hit: those
+// on tuples older than the live window (oldestActive), or all of them
+// when nothing is active. Batched outputs awaiting their boundary are not
+// part of the window, so pruning waits until the batch buffer is empty;
+// EarliestRegion outputs are held by pending sets and stepBuf is empty
+// between steps.
+func (e *Engine) pruneMarks() {
+	if !e.marks.any() || len(e.batchBuf) > 0 {
+		return
+	}
+	oldest, ok := e.oldestActive()
+	e.marks.prune(oldest, !ok)
+}
 
 // Run drives a complete series through a fresh engine.
 func Run(filters []filter.Filter, sr *tuple.Series, opts Options) (*Result, error) {

@@ -54,7 +54,8 @@ type Stats struct {
 	// (stage two), which feeds the run-time predictor.
 	CPU, GreedyCPU time.Duration
 	// Latencies holds one source-to-release latency sample per delivery
-	// (including the MulticastDelay constant).
+	// (including the MulticastDelay constant). Unlike the counters, it
+	// covers only the releases not yet taken (see Engine.TakeReleased).
 	Latencies []time.Duration
 	// MultiplexDisorder counts transmissions whose tuple precedes (by
 	// sequence) an already-released tuple — the disorder that eager
@@ -98,7 +99,10 @@ func (s *Stats) MeanRegionTuples() float64 {
 	return float64(s.RegionTupleSum) / float64(s.Regions)
 }
 
-// Result is the outcome of a complete run.
+// Result is the outcome of a complete run. An engine that hands its
+// releases over with TakeReleased keeps only the Stats counters for the
+// whole run; Transmissions, Punctuations and Stats.Latencies then hold
+// what was released since the last take.
 type Result struct {
 	Transmissions []Transmission
 	// Punctuations are emitted only when Options.EmitPunctuations is
@@ -154,8 +158,7 @@ func (e *Engine) mergeRelease(outs []pendingOut, releasedAt time.Time) {
 		}
 		st.Transmissions++
 		st.Deliveries += len(dests)
-		if !e.distinct[t.Seq] {
-			e.distinct[t.Seq] = true
+		if e.marks.mark(t) {
 			st.DistinctOutputs++
 		}
 		lat := releasedAt.Sub(t.TS) + e.opts.MulticastDelay

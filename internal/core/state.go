@@ -1,5 +1,11 @@
 package core
 
+import (
+	"time"
+
+	"gasf/internal/tuple"
+)
+
 // Reusable engine state for the allocation-free steady-state tuple path.
 // The structures here replace the per-step map and slice churn the engine
 // used to do: a generational dense sequence→count index instead of a
@@ -122,6 +128,55 @@ func (u *seqCounts) dec(seq int) {
 
 // Len returns the number of live (non-zero) entries.
 func (u *seqCounts) Len() int { return u.live + len(u.overflow) }
+
+// releaseMarks records which sequence numbers the engine has released,
+// so DistinctOutputs counts each tuple once. A mark is only needed while
+// its tuple could still be released again, which is while the tuple is
+// not older than the engine's live window; older marks are pruned as the
+// window advances. The marks live in a seqCounts index (count 1 means
+// released), which reclaims its front as marks are pruned, and a queue of
+// the marked tuples in first-release order drives the pruning. The eager
+// strategies release out of timestamp order; a younger front then only
+// delays pruning the marks behind it, never loses one.
+type releaseMarks struct {
+	set  seqCounts
+	q    []*tuple.Tuple
+	head int
+}
+
+// mark records t's release and reports whether it is the first.
+func (m *releaseMarks) mark(t *tuple.Tuple) bool {
+	if m.set.get(t.Seq) > 0 {
+		return false
+	}
+	m.set.inc(t.Seq)
+	m.q = append(m.q, t)
+	return true
+}
+
+// any reports whether any mark is held.
+func (m *releaseMarks) any() bool { return m.head < len(m.q) }
+
+// len returns the number of marks held.
+func (m *releaseMarks) len() int { return m.set.Len() }
+
+// prune forgets the marks, from the front of the queue, on tuples older
+// than horizon, or every mark when all is set. The queue is compacted in
+// place once its dead prefix dominates, like chosenQ.
+func (m *releaseMarks) prune(horizon time.Time, all bool) {
+	for m.head < len(m.q) && (all || m.q[m.head].TS.Before(horizon)) {
+		m.set.dec(m.q[m.head].Seq)
+		m.q[m.head] = nil
+		m.head++
+	}
+	if m.head == len(m.q) {
+		m.q, m.head = m.q[:0], 0
+	} else if m.head >= 1024 && m.head > len(m.q)-m.head {
+		n := copy(m.q, m.q[m.head:])
+		clear(m.q[n:])
+		m.q, m.head = m.q[:n], 0
+	}
+}
 
 // getPOBuf takes a pendingOut buffer from the engine's free list; the
 // buffers cycle through attached-output staging and are recycled once

@@ -23,7 +23,10 @@
 //   - Released transmissions are flushed to the delivery sink in batches
 //     (Config.FlushBatch) to amortize per-delivery dissemination cost;
 //     a shard flushes early whenever its ring idles, so batching bounds
-//     cost, not latency.
+//     cost, not latency. Live sources hand their releases over, so their
+//     memory is bounded by the engine's window; sources added before
+//     Start, and every source of a runtime without a sink, leave the
+//     whole run in the engine results.
 //   - Each shard keeps lock-free metrics counters (tuples enqueued,
 //     processed, dropped, flush count, observed queue depth, drained-run
 //     occupancy and park counts) exposed as Snapshots for monitoring and
@@ -137,7 +140,11 @@ type source struct {
 	name   string
 	engine *core.Engine
 	shard  int
-	// sent indexes the engine transmissions already handed to the sink.
+	// live marks a source added with AddSourceLive. On a runtime with a
+	// sink its worker takes released transmissions from the engine.
+	live bool
+	// sent indexes the engine transmissions already handed to the sink,
+	// for a source whose engine keeps its whole run (see collect).
 	sent int
 	// failed latches the first engine error; later Feed/Offer/Control
 	// calls are rejected so callers learn the stream broke. failErr is
@@ -235,7 +242,9 @@ func (r *Runtime) AddSource(name string, engine *core.Engine) error {
 
 // AddSourceLive registers a source while the runtime is running: tuples
 // may be fed to it as soon as the call returns. The networked server uses
-// it for publishers that connect after startup.
+// it for publishers that connect after startup. On a runtime with a sink,
+// a live source's engine hands its releases to the sink instead of
+// keeping them (see Start).
 func (r *Runtime) AddSourceLive(name string, engine *core.Engine) error {
 	return r.addSource(name, engine, true)
 }
@@ -259,7 +268,7 @@ func (r *Runtime) addSource(name string, engine *core.Engine, live bool) error {
 		return fmt.Errorf("shard: source %q already added", name)
 	}
 	sh := r.ShardOf(name)
-	r.sources[name] = &source{name: name, engine: engine, shard: sh}
+	r.sources[name] = &source{name: name, engine: engine, shard: sh, live: live}
 	r.workers[sh].srcCount.Add(1)
 	return nil
 }
@@ -294,8 +303,12 @@ func (r *Runtime) AddGroup(name string, filters []filter.Filter, opts core.Optio
 }
 
 // Start launches the shard workers. The sink may be nil when only the
-// per-source Results are of interest. The context cancels feeding and
-// stops the workers; tuples still queued at cancellation are dropped.
+// per-source Results are of interest; then every engine keeps its whole
+// run. With a sink, the engines of live sources (AddSourceLive) hand
+// their released transmissions to it and keep only their live window;
+// sources added before Start keep their whole run either way. The
+// context cancels feeding and stops the workers; tuples still queued at
+// cancellation are dropped.
 func (r *Runtime) Start(ctx context.Context, sink Sink) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -686,7 +699,10 @@ func (r *Runtime) recordErr(err error) {
 }
 
 // Results returns the per-source engine results. Call after Drain for
-// complete, settled results.
+// complete, settled results. Their Stats always cover the whole run. A
+// live source on a runtime started with a sink handed its transmissions
+// to the sink, so its Transmissions, Punctuations and Stats.Latencies are
+// empty.
 func (r *Runtime) Results() map[string]*core.Result {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -840,11 +856,21 @@ func (w *worker) handle(tk task) {
 }
 
 // collect stages the engine's newly released transmissions for the next
-// flush.
+// flush. A live source on a runtime with a sink hands them over: the
+// worker takes them from the engine, which then keeps only its live
+// window. Any other engine keeps its whole run for Results — a static
+// source's run is the product of a finite batch, and with no sink
+// nobody else receives it — and the worker stages the new tail.
 func (w *worker) collect(src *source) {
-	trs := src.engine.Result().Transmissions
-	for ; src.sent < len(trs); src.sent++ {
-		w.pending = append(w.pending, Out{Source: src.name, Tr: trs[src.sent]})
+	var trs []core.Transmission
+	if src.live && w.rt.sink != nil {
+		trs = src.engine.TakeReleased()
+	} else {
+		all := src.engine.Result().Transmissions
+		trs, src.sent = all[src.sent:], len(all)
+	}
+	for _, tr := range trs {
+		w.pending = append(w.pending, Out{Source: src.name, Tr: tr})
 	}
 }
 

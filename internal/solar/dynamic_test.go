@@ -36,7 +36,9 @@ func (l *deliveryLog) fingerprint() string {
 }
 
 // resultBytes wire-encodes every transmission of the per-source results,
-// in source order, for byte-identical comparison.
+// in source order, for byte-identical comparison. A source whose result
+// holds no transmission fails the test, so two empty results can never
+// compare equal.
 func resultBytes(t *testing.T, results map[string]*core.Result) []byte {
 	t.Helper()
 	names := make([]string, 0, len(results))
@@ -46,6 +48,9 @@ func resultBytes(t *testing.T, results map[string]*core.Result) []byte {
 	sort.Strings(names)
 	var buf []byte
 	for _, name := range names {
+		if len(results[name].Transmissions) == 0 {
+			t.Fatalf("source %s: result holds no transmissions to compare", name)
+		}
 		for _, tr := range results[name].Transmissions {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(tr.ReleasedAt.UnixNano()))
 			var err error
@@ -132,6 +137,9 @@ func TestLiveSubscribeEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(log.recs) == 0 {
+			t.Fatal("no deliveries to compare")
+		}
 		return log.fingerprint(), resultBytes(t, results)
 	}
 
@@ -140,9 +148,6 @@ func TestLiveSubscribeEquivalence(t *testing.T) {
 	if string(staticBytes) != string(liveBytes) {
 		t.Fatalf("live-subscribe released bytes differ from static deploy (%d vs %d bytes)",
 			len(liveBytes), len(staticBytes))
-	}
-	if len(staticBytes) == 0 {
-		t.Fatal("degenerate case: static run released nothing")
 	}
 	if staticFP != liveFP {
 		t.Fatal("live-subscribe deliveries differ from static deploy")
