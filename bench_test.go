@@ -215,8 +215,9 @@ func BenchmarkGreedyHittingSet(b *testing.B) {
 	}
 }
 
-// BenchmarkMulticastDissemination measures the Solar dissemination path:
-// engine transmissions pushed through a 7-node multicast tree.
+// BenchmarkMulticastDissemination measures mesh dissemination as the
+// paper experiments and the emergency example account it: engine
+// transmissions pushed through a 7-node multicast tree.
 func BenchmarkMulticastDissemination(b *testing.B) {
 	sr := benchSeries(b, 1000)
 	res, err := gasf.Run(benchFilters(b, sr, 3), sr, gasf.Options{Algorithm: gasf.RG})

@@ -16,9 +16,8 @@ import (
 // sharded runtime directly) and Dial (TCP, against a gasf-server). The
 // same publish/subscribe/churn program runs unchanged on either; the
 // parity test suite holds the two to byte-identical released sequences
-// per subscriber. The batch Run/RunSharded entry points are thin
-// wrappers over an embedded broker, and the older Client type is a
-// deprecated veneer over the same wire sessions Dial uses.
+// per subscriber. The batch Run/RunSharded entry points run on the same
+// shard runtime the embedded broker is built on.
 
 // Broker is the unified streaming surface: long-lived sources publish
 // indefinitely, applications join and leave a source's filter group at

@@ -10,49 +10,64 @@
 //     (timely cuts bound its delay),
 //   - situation-assessment tolerates coarse updates.
 //
-// The group-aware filtering service deployed on the source node multiplexes
-// the three filters' outputs for tuple-level multicast; the example reports
-// the bandwidth spent versus self-interested filtering.
+// The group-aware filtering service runs on an embedded broker at the
+// source node; each released transmission is then multicast down the
+// mesh tree to the subscribers' nodes, and the example reports the
+// bandwidth spent versus self-interested filtering.
 //
 //	go run ./examples/emergency
 package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"sort"
+	"strconv"
 	"sync"
 	"time"
 
 	"gasf"
-	"gasf/internal/core"
+	"gasf/internal/multicast"
 	"gasf/internal/overlay"
-	"gasf/internal/solar"
 	"gasf/internal/trace"
-	"gasf/internal/tuple"
+	"gasf/internal/wire"
 )
 
 const sourceName = "chlorine/downtown"
 
-func buildFilters(stat float64) ([]gasf.Filter, error) {
-	// Granularity derived from the source's observed variability,
-	// the way the paper's §4.3 derives deltas from srcStatistics.
-	fire, err := gasf.NewDCFilter("fire-prediction", "chlorine", 4*stat, 2*stat)
-	if err != nil {
-		return nil, err
-	}
-	safety, err := gasf.NewDCFilter("responder-safety", "chlorine", 5.5*stat, 2.75*stat)
-	if err != nil {
-		return nil, err
-	}
-	situation, err := gasf.NewDCFilter("situation-assessment", "chlorine", 7*stat, 3.5*stat)
-	if err != nil {
-		return nil, err
-	}
-	return []gasf.Filter{fire, safety, situation}, nil
+// app is one command-and-control application: its granularity is a
+// multiple of the source's observed variability, the way the paper's
+// §4.3 derives deltas from srcStatistics.
+type app struct {
+	name         string
+	delta, slack float64
+}
+
+var apps = []app{
+	{"fire-prediction", 4, 2},
+	{"responder-safety", 5.5, 2.75},
+	{"situation-assessment", 7, 3.5},
+}
+
+// spec renders the app's DC1 specification for a source statistic. The
+// shortest exact float rendering keeps the parsed deltas bit-identical
+// to the products computed here.
+func (a app) spec(stat float64) string {
+	f := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+	return fmt.Sprintf("DC1(chlorine, %s, %s)", f(a.delta*stat), f(a.slack*stat))
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// The plume model: wind carries the release past a sensor 400 m
 	// downwind.
 	series, err := trace.Chlorine(trace.ChlorineConfig{
@@ -60,97 +75,143 @@ func main() {
 		WindSpeed: 2.5,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stat, err := series.MeanAbsChange("chlorine")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	// Mesh overlay: routers on the emergency vehicles.
+	// Mesh overlay: routers on the emergency vehicles. The source sits on
+	// node 0, the applications on nodes 2-4.
 	net, err := overlay.New(overlay.Config{Nodes: 7, Seed: 3,
 		Link: overlay.Link{Delay: 8 * time.Millisecond, Bandwidth: 1e6}})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	sys, err := solar.NewSystem(net)
-	if err != nil {
-		log.Fatal(err)
-	}
+
 	// Responder safety is latency-critical: bound the filtering delay
 	// with timely cuts at 3 s (loose enough to keep candidate sets —
 	// and their bandwidth savings — intact; see Fig 4.12's trade-off).
-	err = sys.RegisterSource(sourceName, net.NodeByIndex(0), core.Options{
-		Algorithm: core.RG,
-		Cuts:      true,
-		MaxDelay:  3 * time.Second,
-	})
+	b, err := gasf.NewEmbedded(gasf.WithAlgorithm(gasf.RG), gasf.WithCuts(3*time.Second))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	filters, err := buildFilters(stat)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i, f := range filters {
-		err := sys.Subscribe(sourceName, solar.Subscription{
-			App: f.ID(), Node: net.NodeByIndex(i + 2), Filter: f,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := sys.Deploy(); err != nil {
-		log.Fatal(err)
-	}
-
-	// Stream the plume live through the mesh.
-	in := make(chan *tuple.Tuple, 64)
-	replayer := &trace.Replayer{Series: series}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	go func() {
-		if err := replayer.Run(ctx, in); err != nil {
-			log.Printf("replay: %v", err)
-		}
-	}()
-
-	var mu sync.Mutex
-	perApp := make(map[string]int)
-	var worstLatency time.Duration
-	err = sys.Serve(ctx, map[string]<-chan *tuple.Tuple{sourceName: in}, func(d solar.Delivery) {
-		mu.Lock()
-		defer mu.Unlock()
-		perApp[d.App]++
-		if d.Latency > worstLatency {
-			worstLatency = d.Latency
-		}
-	})
+	defer b.Close(ctx)
+	src, err := b.OpenSource(ctx, sourceName, series.Schema())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	res := sys.Results()[sourceName]
-	fmt.Printf("chlorine plume: %d readings streamed (srcStatistics %.3f)\n", series.Len(), stat)
-	fmt.Printf("group-aware output: %d distinct tuples (O/I %.3f), %d regions (%d cut)\n",
+	// Every member delivery of a transmission carries the transmission's
+	// full destination list, so keying by tuple sequence collects each
+	// transmission once for the mesh multicast below.
+	var (
+		mu     sync.Mutex
+		sent   = make(map[int]*gasf.Delivery)
+		perApp = make(map[string]int)
+		wg     sync.WaitGroup
+	)
+	members := make(map[string]overlay.NodeID, len(apps))
+	errs := make(chan error, len(apps))
+	for i, a := range apps {
+		sub, err := b.Subscribe(ctx, a.name, sourceName, a.spec(stat))
+		if err != nil {
+			return err
+		}
+		members[a.name] = net.NodeByIndex(i + 2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				d, err := sub.Recv(ctx)
+				if errors.Is(err, gasf.ErrStreamEnded) {
+					return
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				mu.Lock()
+				perApp[sub.App()]++
+				if _, ok := sent[d.Tuple.Seq]; !ok {
+					sent[d.Tuple.Seq] = d
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+
+	// Stream the plume live through the broker.
+	for i := 0; i < series.Len(); i++ {
+		if err := src.Publish(ctx, series.At(i)); err != nil {
+			return err
+		}
+	}
+	if err := src.Finish(ctx); err != nil {
+		return err
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		return err
+	}
+	if err := b.Close(ctx); err != nil {
+		return err
+	}
+
+	// Disseminate every released transmission down the mesh tree,
+	// accounting the encoded size of each label-pruned branch message.
+	tree, err := multicast.BuildTree(net, net.NodeByIndex(0), members)
+	if err != nil {
+		return err
+	}
+	acct := multicast.NewAccounting()
+	seqs := make([]int, 0, len(sent))
+	for seq := range sent {
+		seqs = append(seqs, seq)
+	}
+	sort.Ints(seqs)
+	var worstHop time.Duration
+	for _, seq := range seqs {
+		d := sent[seq]
+		ds, err := tree.MulticastSized(d.Destinations, func(branch []string) int {
+			return wire.TransmissionSize(d.Tuple, branch)
+		}, acct)
+		if err != nil {
+			return err
+		}
+		for _, md := range ds {
+			worstHop = max(worstHop, md.Delay)
+		}
+	}
+
+	res := b.Results()[sourceName]
+	fmt.Fprintf(w, "chlorine plume: %d readings streamed (srcStatistics %.3f)\n", series.Len(), stat)
+	fmt.Fprintf(w, "group-aware output: %d distinct tuples (O/I %.3f), %d regions (%d cut)\n",
 		res.Stats.DistinctOutputs, res.Stats.OIRatio(), res.Stats.Regions, res.Stats.RegionsCut)
-	for app, n := range perApp {
-		fmt.Printf("  %-22s received %4d updates\n", app, n)
+	for _, a := range apps {
+		fmt.Fprintf(w, "  %-22s received %4d updates\n", a.name, perApp[a.name])
 	}
-	fmt.Printf("worst delivery latency: %v (cut budget 3s + mesh hops)\n", worstLatency)
-	fmt.Printf("mesh traffic: %d bytes on links, %d bytes on the wireless medium\n",
-		sys.Accounting().TotalBytes(), sys.Accounting().WirelessBytes())
+	fmt.Fprintf(w, "worst mesh-hop delay: %v (on top of the 3s cut budget at the source)\n", worstHop)
+	fmt.Fprintf(w, "mesh traffic: %d bytes on links, %d bytes on the wireless medium\n",
+		acct.TotalBytes(), acct.WirelessBytes())
 
-	// Compare with self-interested filtering over the same mesh.
-	siFilters, err := buildFilters(stat)
-	if err != nil {
-		log.Fatal(err)
+	// Compare with self-interested filtering of the same stream.
+	siFilters := make([]gasf.Filter, len(apps))
+	for i, a := range apps {
+		if siFilters[i], err = gasf.NewDCFilter(a.name, "chlorine", a.delta*stat, a.slack*stat); err != nil {
+			return err
+		}
 	}
-	si, err := core.RunSelfInterested(siFilters, series, core.Options{})
+	si, err := gasf.RunSelfInterested(siFilters, series, gasf.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ratio := float64(res.Stats.DistinctOutputs) / float64(si.Stats.DistinctOutputs)
-	fmt.Printf("\nself-interested filtering would multicast %d distinct tuples;\n", si.Stats.DistinctOutputs)
-	fmt.Printf("group awareness reduced the bandwidth demand to %.0f%% of that.\n", ratio*100)
+	fmt.Fprintf(w, "\nself-interested filtering would multicast %d distinct tuples;\n", si.Stats.DistinctOutputs)
+	fmt.Fprintf(w, "group awareness reduced the bandwidth demand to %.0f%% of that.\n", ratio*100)
+	return nil
 }

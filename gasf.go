@@ -22,7 +22,7 @@
 //
 // Swap gasf.NewEmbedded for gasf.Dial("host:7070") and the same program
 // drives a gasf-server over TCP. Finite batch runs keep the historical
-// convenience wrappers, now layered on an embedded broker:
+// convenience wrappers, on the shard runtime the embedded broker uses:
 //
 //	a, _ := gasf.NewDCFilter("A", "temperature", 50, 10)
 //	b, _ := gasf.NewDCFilter("B", "temperature", 40, 5)
@@ -32,8 +32,8 @@
 // The facade re-exports the stable pieces of the internal packages: the
 // tuple/stream model, the filter family (DC1/DC2/DC3, stratified sampling,
 // stateful DC), the coordination engine with its algorithms (RG, PS),
-// timely cuts and output strategies, the trace generators used in the
-// paper's evaluation, and the Solar-style dissemination layer. See
+// timely cuts and output strategies, and the trace generators used in the
+// paper's evaluation. See
 // DESIGN.md for the architecture (§10 covers the broker layering) and
 // EXPERIMENTS.md for the reproduction results.
 package gasf

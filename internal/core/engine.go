@@ -16,8 +16,8 @@ import (
 // tuples, the current region of connected candidate sets, decided outputs,
 // and the output scheduler.
 //
-// An Engine is single-source and not safe for concurrent use; the Solar
-// layer runs one engine per source node.
+// An Engine is single-source and not safe for concurrent use; the shard
+// runtime drives each source's engine from its one owning worker.
 //
 // The steady-state Step path is allocation-free: utilities live in a
 // generational dense index, open-set tracking and scratch sets are engine-

@@ -170,6 +170,10 @@ type sourceLog struct {
 	next  uint64   // next record offset
 	buf   []byte   // append staging, recycled
 	dirty bool     // has unsynced writes (SyncInterval)
+	// syncErr is a failed background sync not yet reported: the next
+	// Append (or Close) returns it. The segment stays dirty, so the
+	// next tick retries the sync.
+	syncErr error
 }
 
 // Log is a durable per-source segmented record log. Open recovers it,
@@ -365,7 +369,9 @@ func (l *Log) Sources() []string {
 // source must be serialized by the caller. Under SyncAlways the record
 // is on stable storage when Append returns; otherwise durability
 // follows the policy and a crash may lose the tail — recovery then
-// truncates back to the last intact record.
+// truncates back to the last intact record. When a background
+// (SyncInterval) sync of the source failed since the last Append, this
+// Append writes nothing and returns that failure.
 func (l *Log) Append(source string, payload []byte) (uint64, error) {
 	if len(payload) > MaxPayload {
 		return 0, fmt.Errorf("seglog: payload %d exceeds limit", len(payload))
@@ -373,6 +379,12 @@ func (l *Log) Append(source string, payload []byte) (uint64, error) {
 	sl := l.get(source)
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
+	if err := sl.syncErr; err != nil {
+		// Records already written may not be on stable storage; the
+		// caller learns before it appends more.
+		sl.syncErr = nil
+		return sl.next, fmt.Errorf("seglog: background sync of %q failed: %w", source, err)
+	}
 	if err := sl.ensureOpen(l.opts); err != nil {
 		return 0, err
 	}
@@ -421,15 +433,23 @@ func (sl *sourceLog) ensureOpen(opts Options) error {
 }
 
 // rotate seals the active segment and starts a fresh one whose name is
-// the next offset. Called with sl.mu held.
+// the next offset. Called with sl.mu held. A failure to seal the old
+// segment is returned before any new one is created; the next Append
+// reopens the old segment and retries the rotation.
 func (sl *sourceLog) rotate(opts Options) error {
 	if sl.f != nil {
+		var err error
 		if opts.Fsync != SyncNever {
-			_ = sl.f.Sync()
+			err = sl.f.Sync()
 		}
-		sl.f.Close()
+		if cerr := sl.f.Close(); err == nil {
+			err = cerr
+		}
 		sl.f = nil
 		sl.dirty = false
+		if err != nil {
+			return fmt.Errorf("seglog: sealing segment: %w", err)
+		}
 	}
 	if err := os.MkdirAll(sl.dir, 0o755); err != nil {
 		return fmt.Errorf("seglog: %w", err)
@@ -443,18 +463,34 @@ func (sl *sourceLog) rotate(opts Options) error {
 		f.Close()
 		return fmt.Errorf("seglog: %w", err)
 	}
-	if opts.Fsync != SyncNever {
-		// Make the new file itself durable before records land in it.
-		_ = f.Sync()
-		if d, err := os.Open(sl.dir); err == nil {
-			_ = d.Sync()
-			d.Close()
-		}
-	}
 	sl.segs = append(sl.segs, segment{path: path, first: sl.next})
 	sl.f = f
 	sl.size = int64(len(Magic))
+	if opts.Fsync != SyncNever {
+		// Make the new file itself durable before records land in it.
+		// The segment is registered either way, so a failure here leaves
+		// the chain consistent and only reports lost durability.
+		if err := f.Sync(); err != nil {
+			return fmt.Errorf("seglog: syncing new segment: %w", err)
+		}
+		if err := syncDir(sl.dir); err != nil {
+			return fmt.Errorf("seglog: syncing segment directory: %w", err)
+		}
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the entries created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Read replays records with offsets in [from, to) in order, calling fn
@@ -574,7 +610,9 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// syncDirty fsyncs every source with unsynced writes.
+// syncDirty fsyncs every source with unsynced writes. A failed sync
+// keeps the source dirty for the next tick and is reported by the
+// source's next Append or by Close.
 func (l *Log) syncDirty() {
 	l.mu.RLock()
 	all := make([]*sourceLog, 0, len(l.sources))
@@ -585,15 +623,20 @@ func (l *Log) syncDirty() {
 	for _, sl := range all {
 		sl.mu.Lock()
 		if sl.dirty && sl.f != nil {
-			_ = sl.f.Sync()
-			sl.dirty = false
+			if err := sl.f.Sync(); err != nil {
+				sl.syncErr = err
+			} else {
+				sl.dirty = false
+			}
 		}
 		sl.mu.Unlock()
 	}
 }
 
 // Close seals the log: dirty segments are synced (unless SyncNever) and
-// every file handle released. The log must not be used after Close.
+// every file handle released. It returns the first failure, including
+// a background sync failure no Append has reported yet. The log must
+// not be used after Close.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -611,6 +654,9 @@ func (l *Log) Close() error {
 	var firstErr error
 	for _, sl := range all {
 		sl.mu.Lock()
+		if sl.syncErr != nil && firstErr == nil {
+			firstErr = fmt.Errorf("seglog: background sync failed: %w", sl.syncErr)
+		}
 		if sl.f != nil {
 			if l.opts.Fsync != SyncNever {
 				if err := sl.f.Sync(); err != nil && firstErr == nil {

@@ -2,6 +2,7 @@ package seglog
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -325,5 +326,75 @@ func TestSources(t *testing.T) {
 	got := l.Sources()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Sources = %v", got)
+	}
+}
+
+// TestBackgroundSyncFailureReported makes the background fsync fail by
+// closing the active segment under the log, and checks the failure is
+// neither swallowed nor forgotten: the segment stays dirty for the next
+// tick, the source's next Append reports it (writing nothing), and so
+// does Close — also when the retried sync later succeeds.
+func TestBackgroundSyncFailureReported(t *testing.T) {
+	// An hour-long interval keeps the ticker out of the way; the test
+	// drives syncDirty itself.
+	opts := Options{Fsync: SyncInterval, Interval: time.Hour}
+	breakSync := func(l *Log) *sourceLog {
+		t.Helper()
+		fill(t, l, "s", 3)
+		sl := l.get("s")
+		sl.mu.Lock()
+		sl.f.Close()
+		sl.mu.Unlock()
+		l.syncDirty()
+		sl.mu.Lock()
+		defer sl.mu.Unlock()
+		if !sl.dirty {
+			t.Fatal("failed sync cleared the dirty flag")
+		}
+		if !errors.Is(sl.syncErr, os.ErrClosed) {
+			t.Fatalf("sync failure not kept: %v", sl.syncErr)
+		}
+		return sl
+	}
+
+	l, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	breakSync(l)
+	if _, err := l.Append("s", payloadFor(3)); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Append after a failed sync = %v, want the sync failure", err)
+	}
+	if got := l.NextOffset("s"); got != 3 {
+		t.Fatalf("failed Append advanced the log to %d", got)
+	}
+	if err := l.Close(); err == nil {
+		t.Fatal("Close after a failed sync returned nil")
+	}
+
+	// The retry succeeds on a healthy handle, but the lost sync is still
+	// owed to the caller: Close reports it.
+	dir := t.TempDir()
+	l, err = Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl := breakSync(l)
+	f, err := os.OpenFile(lastSegment(t, dir, "s"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl.mu.Lock()
+	sl.f = f
+	sl.mu.Unlock()
+	l.syncDirty()
+	sl.mu.Lock()
+	dirty := sl.dirty
+	sl.mu.Unlock()
+	if dirty {
+		t.Fatal("retried sync did not clear the dirty flag")
+	}
+	if err := l.Close(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close = %v, want the unreported sync failure", err)
 	}
 }

@@ -462,7 +462,8 @@ type SubDialOpts struct {
 // DialSubscriberOpts joins a source's group with explicit session
 // options, the full-control variant of DialSubscriber.
 func DialSubscriberOpts(addr, app, source, spec string, o SubDialOpts) (*Subscriber, error) {
-	hello, err := EncodeSubHelloResume(app, source, spec, o.Queue, o.Resume, o.ResumeFrom)
+	hello, err := EncodeSubHello(SubHello{App: app, Source: source, Spec: spec,
+		Queue: o.Queue, Resume: o.Resume, ResumeFrom: o.ResumeFrom})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"net"
 	"sync"
@@ -18,38 +19,45 @@ func ctxTimeout() (context.Context, context.CancelFunc) {
 }
 
 // TestSubHelloVersions pins the handshake compatibility contract: a
-// version-1 payload (nothing after the queue depth) still decodes, the
-// current encoder always stamps version 2, and the resume trailer
-// round-trips exactly.
+// version-1 payload (nothing after the queue depth) is rejected, the
+// encoder stamps version 2 with byte-exact output, and the resume
+// trailer round-trips exactly.
 func TestSubHelloVersions(t *testing.T) {
 	// Hand-rolled version-1 payload, as a pre-resume client would send.
 	v1 := appendString(nil, "app")
 	v1 = appendString(v1, "src")
 	v1 = appendString(v1, "DC1(v, 0.5, 0)")
 	v1 = binary.AppendUvarint(v1, 7)
-	h, err := DecodeSubHello(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Version != 1 || h.Resume || h.App != "app" || h.Source != "src" || h.Queue != 7 {
-		t.Fatalf("v1 decode: %+v", h)
+	if h, err := DecodeSubHello(v1); err == nil {
+		t.Fatalf("v1 hello accepted: %+v", h)
 	}
 
-	enc, err := EncodeSubHello("app", "src", "DC1(v, 0.5, 0)", 7)
+	// Golden bytes: the wire form is a compatibility contract.
+	const (
+		v2Golden       = "03617070037372630e44433128762c20302e352c203029070200"
+		v2ResumeGolden = "03617070037372630e44433128762c20302e352c2030290702012a00000000000000"
+	)
+	enc, err := EncodeSubHello(SubHello{App: "app", Source: "src", Spec: "DC1(v, 0.5, 0)", Queue: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err = DecodeSubHello(enc)
+	if got := hex.EncodeToString(enc); got != v2Golden {
+		t.Fatalf("v2 hello bytes = %s, want %s", got, v2Golden)
+	}
+	h, err := DecodeSubHello(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Version != SubProtoVersion || h.Resume || h.ResumeFrom != 0 {
+	if h.Version != SubProtoVersion || h.Resume || h.ResumeFrom != 0 || h.App != "app" || h.Source != "src" || h.Queue != 7 {
 		t.Fatalf("v2 decode: %+v", h)
 	}
 
-	enc, err = EncodeSubHelloResume("app", "src", "DC1(v, 0.5, 0)", 7, true, 42)
+	enc, err = EncodeSubHello(SubHello{App: "app", Source: "src", Spec: "DC1(v, 0.5, 0)", Queue: 7, Resume: true, ResumeFrom: 42})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(enc); got != v2ResumeGolden {
+		t.Fatalf("v2 resume hello bytes = %s, want %s", got, v2ResumeGolden)
 	}
 	h, err = DecodeSubHello(enc)
 	if err != nil {

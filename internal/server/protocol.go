@@ -99,9 +99,7 @@ var goodbyeDrainPayload = []byte(goodbyeDrainTag)
 // speaks. Version 2 (the durability bump) adds the trailing
 // version/resume fields to the subscriber hello and the offset-bearing
 // FrameTransmissionOff delivery frame. A version-1 hello (no trailer)
-// is still decoded, but a durable server rejects it: its encode-once
-// fan-out produces only offset-bearing frames, which a v1 client would
-// not understand.
+// is rejected at decode.
 const SubProtoVersion = 2
 
 // SubProtoVersionRelay is the subscriber protocol version spoken by an
@@ -222,11 +220,10 @@ func DecodeSourceHello(data []byte) (name string, schema *tuple.Schema, err erro
 	return name, schema, nil
 }
 
-// SubHello is a decoded subscriber hello. Version 1 payloads carry
-// app, source, spec and queue; version 2 appends the protocol version
-// and an optional resume point; version 3 appends a relay section
-// identifying an edge node's upstream leg. Resume distinguishes "no
-// resume" from "resume from offset 0".
+// SubHello is a subscriber hello: app, source, spec and queue, then the
+// protocol version and an optional resume point (version 2), then, on
+// an edge node's upstream leg, a relay section naming the edge (version
+// 3). Resume distinguishes "no resume" from "resume from offset 0".
 type SubHello struct {
 	App, Source, Spec string
 	Queue             int
@@ -237,74 +234,52 @@ type SubHello struct {
 	RelayEdge         string
 }
 
-// EncodeSubHello encodes a subscriber hello payload with no resume
-// request. queue requests a per-subscriber send-queue depth; 0 accepts
-// the server default.
-func EncodeSubHello(app, source, spec string, queue int) ([]byte, error) {
-	return EncodeSubHelloResume(app, source, spec, queue, false, 0)
-}
-
-// EncodeSubHelloResume encodes a subscriber hello payload, optionally
-// requesting replay of the source's durable log from a record offset.
-// The version/resume fields trail the version-1 payload, so old servers
-// that ignore trailing bytes would misparse them — which is why the
-// hello always carries an explicit version for the server to check.
-func EncodeSubHelloResume(app, source, spec string, queue int, resume bool, from uint64) ([]byte, error) {
-	if app == "" || source == "" || spec == "" {
+// EncodeSubHello encodes a subscriber hello payload. queue requests a
+// per-subscriber send-queue depth (0 accepts the server default); Resume
+// requests replay of the source's durable log from ResumeFrom. A Relay
+// hello is the version-3 form an edge node opens an upstream leg with:
+// the app and spec are the REAL group identity of the local subscribers
+// the leg serves — never a synthetic relay name — so the core derives
+// exactly the membership a single-node deployment would, and the
+// destination labels inside every transmission stay byte-identical
+// across topologies. Every other hello is version 2. h.Version is
+// ignored: the encoder stamps the version the fields call for.
+func EncodeSubHello(h SubHello) ([]byte, error) {
+	if h.App == "" || h.Source == "" || h.Spec == "" {
 		return nil, fmt.Errorf("server: subscriber hello needs app, source and spec")
 	}
-	if queue < 0 {
-		return nil, fmt.Errorf("server: negative queue depth %d", queue)
+	if h.Queue < 0 {
+		return nil, fmt.Errorf("server: negative queue depth %d", h.Queue)
 	}
-	buf := appendString(nil, app)
-	buf = appendString(buf, source)
-	buf = appendString(buf, spec)
-	buf = binary.AppendUvarint(buf, uint64(queue))
-	buf = binary.AppendUvarint(buf, SubProtoVersion)
-	if resume {
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, from)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf, nil
-}
-
-// EncodeSubHelloRelay encodes the version-3 subscriber hello an edge
-// node opens an upstream leg with: the version-2 resume form plus a
-// relay section naming the edge. The app and spec are the REAL group
-// identity of the local subscribers the leg serves — never a synthetic
-// relay name — so the core derives exactly the membership a single-node
-// deployment would, and the destination labels inside every
-// transmission stay byte-identical across topologies.
-func EncodeSubHelloRelay(app, source, spec string, queue int, resume bool, from uint64, edge string) ([]byte, error) {
-	if edge == "" {
+	if h.Relay && h.RelayEdge == "" {
 		return nil, fmt.Errorf("server: relay hello needs an edge name")
 	}
-	if app == "" || source == "" || spec == "" {
-		return nil, fmt.Errorf("server: subscriber hello needs app, source and spec")
+	version := uint64(SubProtoVersion)
+	if h.Relay {
+		version = SubProtoVersionRelay
 	}
-	if queue < 0 {
-		return nil, fmt.Errorf("server: negative queue depth %d", queue)
-	}
-	buf := appendString(nil, app)
-	buf = appendString(buf, source)
-	buf = appendString(buf, spec)
-	buf = binary.AppendUvarint(buf, uint64(queue))
-	buf = binary.AppendUvarint(buf, SubProtoVersionRelay)
-	if resume {
+	buf := appendString(nil, h.App)
+	buf = appendString(buf, h.Source)
+	buf = appendString(buf, h.Spec)
+	buf = binary.AppendUvarint(buf, uint64(h.Queue))
+	buf = binary.AppendUvarint(buf, version)
+	if h.Resume {
 		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint64(buf, from)
+		buf = binary.LittleEndian.AppendUint64(buf, h.ResumeFrom)
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = append(buf, 1)
-	buf = appendString(buf, edge)
+	if h.Relay {
+		buf = append(buf, 1)
+		buf = appendString(buf, h.RelayEdge)
+	}
 	return buf, nil
 }
 
-// DecodeSubHello decodes a subscriber hello payload of either protocol
-// version: a payload ending right after the queue depth is version 1.
+// DecodeSubHello decodes a version-2 or version-3 subscriber hello. A
+// payload ending right after the queue depth (the retired version-1
+// form) is rejected: every server frame after the handshake may carry
+// durable offsets, which only version 2 and later understand.
 func DecodeSubHello(data []byte) (h SubHello, err error) {
 	app, n, err := readString(data)
 	if err != nil {
@@ -327,9 +302,9 @@ func DecodeSubHello(data []byte) (h SubHello, err error) {
 	if app == "" || source == "" || spec == "" {
 		return SubHello{}, fmt.Errorf("server: subscriber hello needs app, source and spec")
 	}
-	h = SubHello{App: app, Source: source, Spec: spec, Queue: int(q), Version: 1}
+	h = SubHello{App: app, Source: source, Spec: spec, Queue: int(q)}
 	if len(rest) == 0 {
-		return h, nil
+		return SubHello{}, fmt.Errorf("server: subscriber hello has no protocol version (version 1 is no longer served)")
 	}
 	v, vn := binary.Uvarint(rest)
 	if vn <= 0 || v < 2 || v > 1<<10 {

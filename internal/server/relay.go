@@ -300,8 +300,9 @@ func (leg *relayLeg) dialFirst() error {
 
 // dialUpstream performs one relay handshake against a core.
 func (leg *relayLeg) dialUpstream(core federate.Node, resume bool) (net.Conn, []byte, error) {
-	hello, err := EncodeSubHelloRelay(leg.key.app, leg.key.source, leg.key.spec,
-		leg.queue, resume, leg.lastOffset.Load()+1, leg.mgr.self)
+	hello, err := EncodeSubHello(SubHello{App: leg.key.app, Source: leg.key.source, Spec: leg.key.spec,
+		Queue: leg.queue, Resume: resume, ResumeFrom: leg.lastOffset.Load() + 1,
+		Relay: true, RelayEdge: leg.mgr.self})
 	if err != nil {
 		return nil, nil, err
 	}

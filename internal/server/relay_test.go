@@ -1,17 +1,29 @@
 package server
 
 import (
+	"encoding/hex"
 	"testing"
 )
 
 // TestSubHelloRelayVersion pins the version-3 relay handshake: the relay
-// section round-trips exactly, version-2 hellos keep decoding with no
-// relay fields, and malformed relay sections are rejected rather than
-// misread.
+// section round-trips exactly with byte-exact encoding, version-2 hellos
+// keep decoding with no relay fields, and malformed relay sections are
+// rejected rather than misread.
 func TestSubHelloRelayVersion(t *testing.T) {
-	enc, err := EncodeSubHelloRelay("app", "src", "DC1(v, 0.5, 0)", 7, true, 42, "edge-1")
+	const (
+		v3Golden         = "03617070037372630e44433128762c20302e352c2030290703012a000000000000000106656467652d31"
+		v3NoResumeGolden = "03617070037372630e44433128762c20302e352c2030290003000106656467652d32"
+	)
+	relay := func(queue int, resume bool, from uint64, edge string) ([]byte, error) {
+		return EncodeSubHello(SubHello{App: "app", Source: "src", Spec: "DC1(v, 0.5, 0)",
+			Queue: queue, Resume: resume, ResumeFrom: from, Relay: true, RelayEdge: edge})
+	}
+	enc, err := relay(7, true, 42, "edge-1")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(enc); got != v3Golden {
+		t.Fatalf("v3 hello bytes = %s, want %s", got, v3Golden)
 	}
 	h, err := DecodeSubHello(enc)
 	if err != nil {
@@ -25,9 +37,12 @@ func TestSubHelloRelayVersion(t *testing.T) {
 	}
 
 	// The non-resume form still carries the relay section.
-	enc, err = EncodeSubHelloRelay("app", "src", "DC1(v, 0.5, 0)", 0, false, 0, "edge-2")
+	enc, err = relay(0, false, 0, "edge-2")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(enc); got != v3NoResumeGolden {
+		t.Fatalf("v3 non-resume hello bytes = %s, want %s", got, v3NoResumeGolden)
 	}
 	h, err = DecodeSubHello(enc)
 	if err != nil {
@@ -38,7 +53,7 @@ func TestSubHelloRelayVersion(t *testing.T) {
 	}
 
 	// A version-2 hello decodes with the relay fields zero.
-	v2, err := EncodeSubHelloResume("app", "src", "DC1(v, 0.5, 0)", 7, false, 0)
+	v2, err := EncodeSubHello(SubHello{App: "app", Source: "src", Spec: "DC1(v, 0.5, 0)", Queue: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +66,13 @@ func TestSubHelloRelayVersion(t *testing.T) {
 	}
 
 	// Encode-time rejection: a relay hello must name its edge.
-	if _, err := EncodeSubHelloRelay("app", "src", "DC1(v, 0.5, 0)", 0, false, 0, ""); err == nil {
+	if _, err := relay(0, false, 0, ""); err == nil {
 		t.Fatal("empty edge name accepted at encode")
 	}
 
 	// Decode-time rejections: trailing junk, a bad relay flag, and a
 	// relay flag with no edge name behind it.
-	good, err := EncodeSubHelloRelay("app", "src", "DC1(v, 0.5, 0)", 0, false, 0, "e")
+	good, err := relay(0, false, 0, "e")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -742,13 +742,6 @@ func (s *Server) serveSubscriber(conn net.Conn, hello []byte) {
 		s.serveEdgeSubscriber(conn, h, spec)
 		return
 	}
-	if s.log != nil && h.Version < 2 {
-		// A durable server's encode-once fan-out produces only
-		// offset-bearing transmission frames; a protocol-1 client would
-		// not understand them, so the handshake is the place to fail.
-		s.reject(conn, fmt.Errorf("durable server requires subscriber protocol version %d (client speaks %d)", SubProtoVersion, h.Version))
-		return
-	}
 	if s.isDraining() {
 		s.reject(conn, errDraining)
 		return

@@ -13,9 +13,8 @@ type Snapshot struct {
 	Enqueued uint64
 	// Processed counts tuples stepped through an engine.
 	Processed uint64
-	// Dropped counts tuples lost: Offer rejections on a full queue,
-	// tuples abandoned at cancellation, and tuples discarded after a
-	// source's engine failed.
+	// Dropped counts tuples lost: tuples abandoned at cancellation and
+	// tuples discarded after a source's engine failed.
 	Dropped uint64
 	// Flushes counts sink flushes (batched delivery handoffs).
 	Flushes uint64

@@ -18,8 +18,7 @@
 //     drains whole runs per pop, and park/unpark happens only on
 //     empty/non-empty (consumer doorbell) and full/non-full (producer
 //     gate) transitions. Feeding a full shard blocks the producer
-//     (backpressure) unless the non-blocking Offer is used, in which case
-//     the tuple is dropped and counted.
+//     (backpressure).
 //   - Released transmissions are flushed to the delivery sink in batches
 //     (Config.FlushBatch) to amortize per-delivery dissemination cost;
 //     a shard flushes early whenever its ring idles, so batching bounds
@@ -102,23 +101,9 @@ func (c Config) withDefaults() Config {
 }
 
 // FromOptions extracts the runtime knobs from engine options. Zero knobs
-// stay zero so several option sets can be merged before defaults apply.
+// stay zero; New applies the defaults.
 func FromOptions(o core.Options) Config {
 	return Config{Shards: o.ShardCount, QueueDepth: o.QueueDepth, FlushBatch: o.FlushBatch}
-}
-
-// Merge combines two configs by taking the larger of each knob.
-func Merge(a, b Config) Config {
-	if b.Shards > a.Shards {
-		a.Shards = b.Shards
-	}
-	if b.QueueDepth > a.QueueDepth {
-		a.QueueDepth = b.QueueDepth
-	}
-	if b.FlushBatch > a.FlushBatch {
-		a.FlushBatch = b.FlushBatch
-	}
-	return a
 }
 
 // Out is one released transmission tagged with its source.
@@ -146,8 +131,8 @@ type source struct {
 	// sent indexes the engine transmissions already handed to the sink,
 	// for a source whose engine keeps its whole run (see collect).
 	sent int
-	// failed latches the first engine error; later Feed/Offer/Control
-	// calls are rejected so callers learn the stream broke. failErr is
+	// failed latches the first engine error; later Feed/Control calls
+	// are rejected so callers learn the stream broke. failErr is
 	// written by the owning worker before the failed Store, so readers
 	// that observed failed==true may read it.
 	failed  atomic.Bool
@@ -155,7 +140,7 @@ type source struct {
 	// finished marks that Finish ran on the engine.
 	finished bool
 	// closed is set by FinishSource on the feeding side to reject
-	// further Feed/Offer calls.
+	// further Feed calls.
 	closed atomic.Bool
 }
 
@@ -184,7 +169,7 @@ type control struct {
 
 // Runtime drives a set of registered sources over Config.Shards worker
 // shards. Configure with AddSource/AddGroup, call Start once, feed tuples
-// with Feed/Offer (per-source calls must be serialized by the caller, as
+// with Feed or SubmitBatch (per-source calls must be serialized by the caller, as
 // with a single engine), then FinishSource/Drain.
 type Runtime struct {
 	cfg     Config
@@ -202,7 +187,7 @@ type Runtime struct {
 	endAt   time.Time
 
 	// sendMu gates queue sends against Drain closing the queues: Feed /
-	// Offer / Control / FinishSource hold the read side across their
+	// SubmitBatch / Control / FinishSource hold the read side across their
 	// send; Drain seals the runtime under the write side before closing,
 	// so a racing send gets a clean error instead of a panic.
 	sendMu sync.RWMutex
@@ -372,18 +357,17 @@ func (r *Runtime) boundCtx(ctx context.Context) (context.Context, func()) {
 // blocking while the ring is full.
 func (r *Runtime) sendTask(w *worker, tk task) error {
 	tasks := [1]task{tk}
-	_, err := r.submit(r.ctx, w, tasks[:], true)
+	_, err := r.submit(r.ctx, w, tasks[:])
 	return err
 }
 
 // submit is the one copy of the seal-gated ring-push protocol: it pushes
-// the tasks with as few ring synchronizations as the free space allows
-// and reports how many were enqueued, erring when the runtime has
-// drained (sealed) or ctx is cancelled. With block false a full ring
-// returns the partial count instead of waiting; with block true a short
-// count only accompanies an error. ctx must already be bounded by the
+// the tasks with as few ring synchronizations as the free space allows,
+// waiting while the ring is full, and reports how many were enqueued; a
+// short count only accompanies an error, when the runtime has drained
+// (sealed) or ctx is cancelled. ctx must already be bounded by the
 // runtime context (r.ctx itself, or a boundCtx merge).
-func (r *Runtime) submit(ctx context.Context, w *worker, tasks []task, block bool) (int, error) {
+func (r *Runtime) submit(ctx context.Context, w *worker, tasks []task) (int, error) {
 	r.sendMu.RLock()
 	defer r.sendMu.RUnlock()
 	if r.sealed {
@@ -393,9 +377,6 @@ func (r *Runtime) submit(ctx context.Context, w *worker, tasks []task, block boo
 	for {
 		pushed += w.in.tryPush(tasks[pushed:])
 		if pushed == len(tasks) {
-			return pushed, nil
-		}
-		if !block {
 			return pushed, nil
 		}
 		if err := w.in.waitSpace(ctx); err != nil {
@@ -428,31 +409,6 @@ func (r *Runtime) Feed(name string, t *tuple.Tuple) error {
 	}
 	w.enqueued.Add(1)
 	return nil
-}
-
-// Offer is the non-blocking Feed: it reports false, counting a drop,
-// when the shard queue is full, and fails once the runtime context is
-// cancelled or the runtime drained.
-func (r *Runtime) Offer(name string, t *tuple.Tuple) (bool, error) {
-	if t == nil {
-		return false, fmt.Errorf("shard: nil tuple for source %q", name)
-	}
-	src, w, err := r.lookup(name, false)
-	if err != nil {
-		return false, err
-	}
-	if err := r.ctx.Err(); err != nil {
-		w.dropped.Add(1)
-		return false, err
-	}
-	tasks := [1]task{{src: src, t: t}}
-	sent, err := r.submit(r.ctx, w, tasks[:], false)
-	if sent == 0 {
-		w.dropped.Add(1)
-		return false, err
-	}
-	w.enqueued.Add(1)
-	return true, nil
 }
 
 // taskBufPool recycles the task scratch behind SubmitBatch so batched
@@ -503,7 +459,7 @@ func (r *Runtime) SubmitBatchContext(ctx context.Context, name string, tuples []
 	if r.cfg.Telemetry.Sample(telemetry.StageRingWait) {
 		tasks[0].enq = telemetry.Now()
 	}
-	pushed, err := r.submit(ctx, w, tasks, true)
+	pushed, err := r.submit(ctx, w, tasks)
 	w.enqueued.Add(uint64(pushed))
 	if pushed < len(tasks) {
 		w.dropped.Add(uint64(len(tasks) - pushed))
@@ -544,7 +500,7 @@ func (r *Runtime) ControlContext(ctx context.Context, name string, fn func(*core
 	}
 	ctl := &control{fn: fn, done: make(chan error, 1)}
 	tasks := [1]task{{src: src, ctl: ctl}}
-	if _, err := r.submit(ctx, w, tasks[:], true); err != nil {
+	if _, err := r.submit(ctx, w, tasks[:]); err != nil {
 		return err
 	}
 	select {
@@ -598,7 +554,7 @@ func (r *Runtime) finishSource(ctx context.Context, name string, fin chan error)
 	}
 	src.closed.Store(true)
 	tasks := [1]task{{src: src, fin: fin}}
-	_, err = r.submit(ctx, w, tasks[:], true)
+	_, err = r.submit(ctx, w, tasks[:])
 	return err
 }
 

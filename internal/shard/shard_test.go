@@ -35,10 +35,6 @@ func TestConfigDefaults(t *testing.T) {
 	if rt.cfg.QueueDepth != DefaultQueueDepth || rt.cfg.FlushBatch != DefaultFlushBatch {
 		t.Errorf("defaults not applied: %+v", rt.cfg)
 	}
-	merged := Merge(Config{Shards: 2, QueueDepth: 8}, Config{Shards: 4, FlushBatch: 16})
-	if merged.Shards != 4 || merged.QueueDepth != 8 || merged.FlushBatch != 16 {
-		t.Errorf("merge = %+v", merged)
-	}
 }
 
 func TestShardPartitionIsStable(t *testing.T) {
@@ -101,57 +97,6 @@ func TestRegistrationErrors(t *testing.T) {
 	}
 	if err := rt.Drain(); err == nil {
 		t.Error("double drain should fail")
-	}
-}
-
-// TestOfferDropsWhenFull blocks the single shard inside a sink flush,
-// fills its one-slot queue, and checks Offer rejects and counts the drop.
-func TestOfferDropsWhenFull(t *testing.T) {
-	rt := New(Config{Shards: 1, QueueDepth: 1, FlushBatch: 1})
-	// PS + per-candidate-set: from the second tuple on, every step
-	// releases output, so the sink runs (and can block the worker).
-	if err := rt.AddGroup("s", exampleGroup(t), core.Options{
-		Algorithm: core.PS, Strategy: core.PerCandidateSet,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	if err := rt.Start(context.Background(), func(batch []Out) {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The paper example's values swing by >= 50, so the A/B filters
-	// close a set on every second tuple under PS.
-	ex := trace.PaperExample()
-	if err := rt.Feed("s", ex.At(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Feed("s", ex.At(1)); err != nil {
-		t.Fatal(err)
-	}
-	<-entered                                      // worker is now blocked inside the sink
-	if err := rt.Feed("s", ex.At(2)); err != nil { // fills the queue
-		t.Fatal(err)
-	}
-	ok, err := rt.Offer("s", ex.At(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Error("Offer should reject on a full queue")
-	}
-	if got := rt.TotalDropped(); got != 1 {
-		t.Errorf("dropped = %d, want 1", got)
-	}
-	close(release)
-	if err := rt.Drain(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -168,56 +168,6 @@ func (e *Quantile) Target() float64 { return e.q }
 // Seeded reports whether at least one sample has been observed.
 func (e *Quantile) Seeded() bool { return e.seeded.Load() }
 
-// Frugal1U is the one-memory variant from the same paper: a single
-// word of state, ±1 moves. It needs streams whose value range is small
-// relative to the stream length to converge, so the broker uses the 2U
-// form for nanosecond latencies; 1U is kept as the reference baseline
-// the property tests compare against.
-type Frugal1U struct {
-	thresh uint64
-	seeded atomic.Bool
-	est    atomic.Int64
-	rng    atomic.Uint64
-}
-
-// NewFrugal1U returns a one-memory estimator targeting quantile q.
-func NewFrugal1U(q float64) *Frugal1U {
-	if q <= 0 {
-		q = 0.001
-	}
-	if q >= 1 {
-		q = 0.999
-	}
-	e := &Frugal1U{thresh: uint64(q * float64(1<<63) * 2)}
-	e.rng.Store(0x853c49e6748fea9b)
-	return e
-}
-
-// Observe feeds one sample.
-func (e *Frugal1U) Observe(v int64) {
-	if !e.seeded.Load() {
-		if e.seeded.CompareAndSwap(false, true) {
-			e.est.Store(v)
-			return
-		}
-	}
-	x := e.rng.Load()
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	e.rng.Store(x)
-	r := x * 0x2545f4914f6cdd1d
-	m := e.est.Load()
-	if v > m && r < e.thresh {
-		e.est.Store(m + 1)
-	} else if v < m && r >= e.thresh {
-		e.est.Store(m - 1)
-	}
-}
-
-// Estimate returns the current estimate.
-func (e *Frugal1U) Estimate() int64 { return e.est.Load() }
-
 // LatencyPair bundles the p50/p99 estimators attached to a subscriber
 // session, a source group, or the pipeline aggregate, plus exact
 // count/sum words so the pair can expose a complete Prometheus summary.

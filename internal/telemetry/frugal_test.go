@@ -84,26 +84,6 @@ func TestQuantileAccuracy(t *testing.T) {
 	}
 }
 
-// TestFrugal1UAccuracy checks the one-memory baseline on the one stream
-// shape it is suited to: a small value range relative to stream length.
-func TestFrugal1UAccuracy(t *testing.T) {
-	const n = 200_000
-	r := rand.New(rand.NewSource(3))
-	e := NewFrugal1U(0.5)
-	xs := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		v := int64(r.Intn(1000))
-		e.Observe(v)
-		xs = append(xs, float64(v))
-	}
-	est := float64(e.Estimate())
-	lo := metrics.Quantile(xs, 0.5-rankBand)
-	hi := metrics.Quantile(xs, 0.5+rankBand)
-	if est < lo || est > hi {
-		t.Errorf("1U median estimate %.0f outside rank band [%.0f, %.0f]", est, lo, hi)
-	}
-}
-
 // TestQuantileRange pins the clamp invariant deterministically: the
 // estimate never leaves the closed range of observed values.
 func TestQuantileRange(t *testing.T) {
@@ -218,8 +198,8 @@ func TestObserveAllocs(t *testing.T) {
 	}
 }
 
-// FuzzQuantileObserve fuzzes arbitrary sample sequences into both
-// estimator variants and enforces the range invariant: the estimate
+// FuzzQuantileObserve fuzzes arbitrary sample sequences into the
+// estimator and enforces the range invariant: the estimate
 // never leaves [min, max] of the observed values.
 func FuzzQuantileObserve(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1})
@@ -233,7 +213,6 @@ func FuzzQuantileObserve(f *testing.F) {
 			return
 		}
 		e2 := NewQuantile(0.9)
-		e1 := NewFrugal1U(0.9)
 		min, max := int64(math.MaxInt64), int64(math.MinInt64)
 		for len(data) >= 8 {
 			v := int64(binary.LittleEndian.Uint64(data[:8]))
@@ -245,12 +224,8 @@ func FuzzQuantileObserve(f *testing.F) {
 				max = v
 			}
 			e2.Observe(v)
-			e1.Observe(v)
 			if got := e2.Estimate(); got < min || got > max {
 				t.Fatalf("2U estimate %d left observed range [%d, %d]", got, min, max)
-			}
-			if got := e1.Estimate(); got < min || got > max {
-				t.Fatalf("1U estimate %d left observed range [%d, %d]", got, min, max)
 			}
 		}
 	})

@@ -2,6 +2,8 @@ package gasf
 
 import (
 	"context"
+	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 )
@@ -98,9 +100,9 @@ func TestWithEngineOptionsBridge(t *testing.T) {
 	}
 }
 
-// TestSubscriptionQueueDepthPropagates is the facade half of the
-// SubscribeBuffered satellite: WithQueueDepth on Subscribe reaches the
-// embedded broker's delivery queue (explicit, defaulted, clamped).
+// TestSubscriptionQueueDepthPropagates checks that WithQueueDepth on
+// Subscribe reaches the embedded broker's delivery queue (explicit,
+// defaulted, clamped).
 func TestSubscriptionQueueDepthPropagates(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -143,5 +145,149 @@ func TestSubscriptionQueueDepthPropagates(t *testing.T) {
 	// The subscription reports the spec it joined with, canonically.
 	if sp := sub.Spec(); sp.String() != "DC1(v, 0.5, 0)" {
 		t.Errorf("Spec() = %q", sp.String())
+	}
+}
+
+// TestBackoffSchedule pins the reconnect schedule: the nominal delay
+// grows by Factor per attempt from Base, is capped at Max (also for
+// attempts far past the cap), and every jittered delay lies in
+// [1-Jitter, 1+Jitter) of the nominal one.
+func TestBackoffSchedule(t *testing.T) {
+	b, err := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 3, Jitter: 0.25}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nominal := []time.Duration{10, 30, 80, 80, 80}
+	for attempt, n := range nominal {
+		n *= time.Millisecond
+		lo, hi := time.Duration(float64(n)*0.75), time.Duration(float64(n)*1.25)
+		for i := 0; i < 200; i++ {
+			if d := b.delay(attempt); d < lo || d >= hi {
+				t.Fatalf("attempt %d: delay %v outside [%v, %v)", attempt, d, lo, hi)
+			}
+		}
+	}
+	if d := b.delay(1 << 20); d >= 100*time.Millisecond {
+		t.Errorf("attempt 2^20: delay %v escaped the cap", d)
+	}
+	// Jitter 0 takes the default 0.2; the defaults fill the other fields.
+	def, err := Backoff{}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def != (Backoff{Base: 100 * time.Millisecond, Max: 5 * time.Second, Factor: 2, Jitter: 0.2}) {
+		t.Errorf("defaults = %+v", def)
+	}
+}
+
+// TestBackoffWaitCancel checks a reconnect wait returns when its delay
+// elapses, and returns the context's error as soon as the context ends.
+func TestBackoffWaitCancel(t *testing.T) {
+	short := Backoff{Base: time.Millisecond, Max: time.Millisecond, Factor: 1, Jitter: 0.1}
+	if err := backoffWait(context.Background(), &short, 0); err != nil {
+		t.Fatalf("elapsed wait: %v", err)
+	}
+	long := Backoff{Base: time.Hour, Max: time.Hour, Factor: 1, Jitter: 0.1}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	if err := backoffWait(ctx, &long, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled wait = %v, want context.Canceled", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("cancelled wait took %v", waited)
+	}
+}
+
+// TestDurabilityOptions runs an embedded durable broker under each
+// fsync policy option with a tiny segment size: the log rotates into
+// several segment files, and the app, leaving and resuming from offset
+// 0, receives every record in offset order (the replayed history, then
+// the tail the finish releases live).
+func TestDurabilityOptions(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts []DurabilityOption
+	}{
+		{"always", []DurabilityOption{WithSegmentBytes(256), WithFsync(FsyncAlways)}},
+		{"interval", []DurabilityOption{WithSegmentBytes(256), WithFsync(FsyncInterval), WithFsyncInterval(time.Millisecond)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			const n = 60
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			dir := t.TempDir()
+			b, err := NewEmbedded(WithDurability(dir, c.opts...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close(ctx)
+			schema, err := NewSchema("v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, err := b.OpenSource(ctx, "src", schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Slack 0 makes every tuple a closed singleton set: pass-all.
+			// The last tuple's set closes only when the source finishes.
+			live, err := b.Subscribe(ctx, "live", "src", "DC1(v, 0.5, 0)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				tp, err := NewTuple(schema, i, time.Unix(0, 0).Add(time.Duration(i)*time.Millisecond), []float64{float64(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := src.Publish(ctx, tp); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < n-1; i++ {
+				if _, err := live.Recv(ctx); err != nil {
+					t.Fatalf("live recv %d: %v", i, err)
+				}
+			}
+			segs, err := filepath.Glob(filepath.Join(dir, "*", "*.seg"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(segs) < 2 {
+				t.Errorf("%d segment files, want several at a 256-byte segment size", len(segs))
+			}
+
+			// Replay serves the records addressed to the app, so the same
+			// app leaves and resumes from the log's first record.
+			if err := live.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			res, err := b.Subscribe(ctx, "live", "src", "DC1(v, 0.5, 0)", WithResumeFrom(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Finish(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for want := uint64(0); ; want++ {
+				d, err := res.Recv(ctx)
+				if errors.Is(err, ErrStreamEnded) {
+					if want != n {
+						t.Fatalf("resumed subscription got %d records, want %d", want, n)
+					}
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Offset != want || d.Tuple.Seq != int(want) {
+					t.Fatalf("record %d: offset %d seq %d", want, d.Offset, d.Tuple.Seq)
+				}
+			}
+		})
 	}
 }

@@ -1,0 +1,45 @@
+package gasf
+
+import (
+	"gasf/internal/broker"
+	"gasf/internal/server"
+)
+
+// ErrStreamEnded reports a graceful end of a subscription stream (the
+// source finished or the server drained).
+var ErrStreamEnded = server.ErrStreamEnded
+
+// ServerConfig configures an embedded streaming server (see cmd/gasf-server
+// for the standalone binary).
+type ServerConfig = server.Config
+
+// Server is the networked streaming server.
+type Server = server.Server
+
+// SlowPolicy selects how a full subscriber delivery queue is treated —
+// backpressure (PolicyBlock), counted drops (PolicyDrop) or adaptive
+// coarsening (PolicyDegrade). It is the session core's one policy type,
+// shared by ServerConfig.Policy and the broker option WithSlowPolicy.
+type SlowPolicy = broker.Policy
+
+// Slow-consumer policies for ServerConfig.Policy and WithSlowPolicy.
+const (
+	// PolicyBlock applies backpressure from slow subscribers up to the
+	// publishers.
+	PolicyBlock = broker.Block
+	// PolicyDrop drops deliveries to slow subscribers and counts them.
+	PolicyDrop = broker.Drop
+	// PolicyDegrade blocks like PolicyBlock but adaptively coarsens the
+	// precision of pressured subscriptions whose filters support scaling
+	// (the DC family), announcing each change in Subscription.QoS and
+	// restoring full fidelity stepwise once the pressure clears.
+	PolicyDegrade = broker.Degrade
+)
+
+// ParsePolicy reads a slow-consumer policy name ("block", "drop" or
+// "degrade").
+func ParsePolicy(s string) (SlowPolicy, error) { return broker.ParsePolicy(s) }
+
+// StartServer starts an embedded streaming server; useful for tests and
+// single-process deployments.
+func StartServer(cfg ServerConfig) (*Server, error) { return server.Start(cfg) }
