@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"gasf/internal/broker"
 	"gasf/internal/quality"
@@ -108,7 +107,9 @@ type Subscription interface {
 // durable broker (WithDurability, or a server started with -data-dir)
 // Offset is the delivery's position in the source's durable log — the
 // checkpoint a later WithResumeFrom(offset+1) subscription resumes
-// from.
+// from. A delivery the broker failed to append to its log arrives all the
+// same, with Offset 0 and no place in the log; WithReconnect's resume
+// point skips it, and a hand-kept checkpoint should too.
 type Delivery = broker.Delivery
 
 // specFor parses and validates a subscription spec once at the facade,
@@ -140,17 +141,6 @@ func mapStreamEnd(err error) error {
 		return fmt.Errorf("%w: %v", ErrEvicted, err)
 	}
 	return err
-}
-
-// dialTimeoutFor derives a session dial timeout from the caller context
-// and the configured default.
-func dialTimeoutFor(ctx context.Context, def time.Duration) time.Duration {
-	if deadline, ok := ctx.Deadline(); ok {
-		if d := time.Until(deadline); def <= 0 || d < def {
-			return d
-		}
-	}
-	return def
 }
 
 // errBrokerClosed rejects operations on a closed broker handle.

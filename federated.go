@@ -33,7 +33,10 @@ type Federated struct {
 var _ Broker = (*Federated)(nil)
 
 // FederationConfig places a server in a federated deployment via
-// ServerConfig.Federation; the zero value runs a standalone node.
+// ServerConfig.Federation; the zero value runs a standalone node. Under
+// PolicyDegrade, the sessions an edge serves from one upstream leg (one
+// app and spec) degrade together: the core's governor sees the leg as a
+// single member, and the edge runs no governor of its own.
 type FederationConfig = server.FederationConfig
 
 // FederationRole is a server's role in a federated deployment.

@@ -221,7 +221,11 @@ type Delivery struct {
 	// Offset is the delivery's position in the source's durable log when
 	// the broker runs with Config.DataDir (0 otherwise, and 0 for the log's
 	// first record). A consumer that checkpointed offset o resumes with
-	// SubOptions.ResumeFrom = o+1.
+	// SubOptions.ResumeFrom = o+1. A delivery whose log append failed is
+	// still delivered, but the log does not hold it: it travels without an
+	// offset (a plain frame on the wire, which resume cursors skip) and
+	// reads 0 here, so a checkpoint should keep its previous offset when a
+	// later delivery reports 0.
 	Offset uint64
 }
 
@@ -936,7 +940,9 @@ func (b *Broker) sink(batch []shard.Out) {
 // The durable record is the exact transmission fanned out — pruned
 // labels included — so a replayed stream is byte-identical to what a
 // live subscriber received. An append failure degrades durability, not
-// delivery: it is counted and logged, and the frame carries offset 0.
+// delivery: it is counted and logged, and the frame goes out as a plain
+// KindTransmission with no offset, so no resume cursor mistakes it for
+// the log's first record.
 func (b *Broker) encode(o *shard.Out, src *Source) *Frame {
 	st := &src.sink
 	fr := getFrame()
@@ -964,9 +970,12 @@ func (b *Broker) encode(o *shard.Out, src *Source) *Frame {
 			// Recovery truncates whatever half-record the error left.
 			b.appendErrs.Add(1)
 			b.lg.Error("segment log append", "source", o.Source, "err", err)
-			off = 0
+			fr.buf = append(fr.buf[:FrameHeaderLen], fr.buf[FrameHeaderLen+8:]...)
+			fr.buf[0] = KindTransmission
+			fr.buf = EndFrame(fr.buf)
+		} else {
+			binary.LittleEndian.PutUint64(fr.buf[FrameHeaderLen:], off)
 		}
-		binary.LittleEndian.PutUint64(fr.buf[FrameHeaderLen:], off)
 	}
 	if b.tel != nil {
 		fr.ts, fr.src = o.Tr.Tuple.TS.UnixNano(), src.lat

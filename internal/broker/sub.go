@@ -225,7 +225,7 @@ func (s *Sub) Send(fr *Frame) {
 		s.drop(fr)
 	case <-expire:
 		s.drop(fr)
-		s.evict(fmt.Sprintf("delivery blocked longer than EvictTimeout (%v)", cfg.EvictTimeout))
+		s.Evict(fmt.Sprintf("delivery blocked longer than EvictTimeout (%v)", cfg.EvictTimeout))
 	}
 }
 
@@ -253,16 +253,17 @@ func (s *Sub) drop(fr *Frame) {
 	n := s.dropped.Add(1)
 	s.b.drops.Add(1)
 	if limit := s.b.cfg.EvictAfterDrops; limit > 0 && n >= uint64(limit) {
-		s.evict(fmt.Sprintf("%d deliveries dropped (limit %d)", n, limit))
+		s.Evict(fmt.Sprintf("%d deliveries dropped (limit %d)", n, limit))
 	}
 }
 
-// evict force-detaches the member: the reason is latched (so the
+// Evict force-detaches the member: the reason is latched (so the
 // consumer surfaces ErrEvicted rather than a bare stream end), the member
 // leaves, and the engine-side retraction is handed to a goroutine — it
 // must not run on the calling shard worker, since Control would enqueue
-// into the very ring that worker drains.
-func (s *Sub) evict(reason string) {
+// into the very ring that worker drains. The slow-consumer policy evicts
+// through it, and so does an edge whose upstream leg the core evicted.
+func (s *Sub) Evict(reason string) {
 	s.evictOnce.Do(func() {
 		select {
 		case <-s.done:

@@ -375,18 +375,10 @@ func (p *Publisher) Close() error {
 
 // Delivery is one transmission received by a subscriber: the tuple, the
 // full destination label list the engine decided (this subscriber is one
-// of them), and the client receive instant.
-type Delivery struct {
-	Tuple        *tuple.Tuple
-	Destinations []string
-	ReceivedAt   time.Time
-	// Offset is the durable log offset of this transmission, valid when
-	// the server runs with durability (offset-bearing frames). The
-	// checkpoint contract: after processing the delivery at offset o,
-	// resume with o+1 to continue exactly after it. Always 0 against a
-	// non-durable server.
-	Offset uint64
-}
+// of them), the client receive instant and, from a durable server, the
+// log offset. It is the session core's delivery type, so both transports
+// hand out the same struct.
+type Delivery = broker.Delivery
 
 // Subscriber is a client-side application session: it joins a source's
 // group with a quality spec and receives the filtered stream.
@@ -410,6 +402,12 @@ type Subscriber struct {
 	// (0 until any arrives, read as scale 1).
 	qos atomic.Uint64
 
+	// cur and onQoS are set by the Stream the session belongs to: its
+	// resume cursor, which offset-bearing frames advance, and its QoS
+	// hook.
+	cur   *Cursor
+	onQoS func(scale float64)
+
 	mu     sync.Mutex
 	closed bool
 }
@@ -426,13 +424,7 @@ func DialSubscriber(addr, app, source, spec string) (*Subscriber, error) {
 // buffers before its slow-consumer policy applies); 0 accepts the server
 // default.
 func DialSubscriberBuffered(addr, app, source, spec string, queue int) (*Subscriber, error) {
-	return DialSubscriberTimeout(addr, app, source, spec, queue, 0)
-}
-
-// DialSubscriberTimeout is DialSubscriberBuffered with an explicit
-// dial-plus-handshake timeout; 0 means the 5s default.
-func DialSubscriberTimeout(addr, app, source, spec string, queue int, timeout time.Duration) (*Subscriber, error) {
-	return DialSubscriberOpts(addr, app, source, spec, SubDialOpts{Queue: queue, Timeout: timeout})
+	return DialSubscriberOpts(addr, app, source, spec, SubDialOpts{Queue: queue})
 }
 
 // SubDialOpts parameterizes a subscriber session dial beyond the
@@ -462,12 +454,17 @@ type SubDialOpts struct {
 // DialSubscriberOpts joins a source's group with explicit session
 // options, the full-control variant of DialSubscriber.
 func DialSubscriberOpts(addr, app, source, spec string, o SubDialOpts) (*Subscriber, error) {
-	hello, err := EncodeSubHello(SubHello{App: app, Source: source, Spec: spec,
-		Queue: o.Queue, Resume: o.Resume, ResumeFrom: o.ResumeFrom})
+	return dialSubscriber(addr, SubHello{App: app, Source: source, Spec: spec,
+		Queue: o.Queue, Resume: o.Resume, ResumeFrom: o.ResumeFrom}, o.Timeout, o.RecvBuffer)
+}
+
+// dialSubscriber performs one subscriber handshake.
+func dialSubscriber(addr string, h SubHello, timeout time.Duration, recvBuffer int) (*Subscriber, error) {
+	hello, err := EncodeSubHello(h)
 	if err != nil {
 		return nil, err
 	}
-	conn, payload, err := dialHello(addr, FrameSubHello, hello, o.Timeout)
+	conn, payload, err := dialHello(addr, FrameSubHello, hello, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -476,17 +473,17 @@ func DialSubscriberOpts(addr, app, source, spec string, o SubDialOpts) (*Subscri
 		conn.Close()
 		return nil, err
 	}
-	if o.RecvBuffer > 0 {
+	if recvBuffer > 0 {
 		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.SetReadBuffer(o.RecvBuffer)
+			_ = tc.SetReadBuffer(recvBuffer)
 		}
 	}
 	return &Subscriber{
 		conn:   conn,
-		br:     bufio.NewReaderSize(conn, 32<<10),
+		br:     bufio.NewReaderSize(conn, streamReadBuf),
 		schema: schema,
-		app:    app,
-		source: source,
+		app:    h.App,
+		source: h.Source,
 	}, nil
 }
 
@@ -510,45 +507,69 @@ func (c *Subscriber) QoS() float64 {
 	return 1
 }
 
-// Recv blocks for the next delivery. It returns io.EOF-wrapped errors on
-// disconnect and a nil Delivery with ErrStreamEnded once the server ends
-// the stream gracefully (source finished or server drained).
-func (c *Subscriber) Recv() (*Delivery, error) {
+// rxFrame is one received transmission frame: payload is the whole
+// frame payload (offset included), body the wire transmission inside
+// it. Both alias the session's read buffer until the next read.
+type rxFrame struct {
+	kind          byte
+	payload, body []byte
+	off           uint64
+}
+
+// next is the session's one frame reader: it consumes heartbeats and QoS
+// announcements, types goodbyes (goodbyeEnd) and error frames
+// (remoteError), and returns the next transmission frame. An
+// offset-bearing frame advances the stream's cursor; a plain one leaves
+// it where it is.
+func (c *Subscriber) next() (rxFrame, error) {
 	for {
 		kind, payload, err := ReadFrameInto(c.br, c.buf)
 		c.buf = payload[:cap(payload)]
 		if err != nil {
-			return nil, fmt.Errorf("server: receiving: %w", err)
+			return rxFrame{}, fmt.Errorf("server: receiving: %w", err)
 		}
 		switch kind {
-		case FrameTransmission, FrameTransmissionOff:
-			body, offset, err := splitOffset(kind, payload)
-			if err != nil {
-				return nil, err
+		case FrameTransmission:
+			return rxFrame{kind: kind, payload: payload, body: payload}, nil
+		case FrameTransmissionOff:
+			if len(payload) < 8 {
+				return rxFrame{}, fmt.Errorf("server: truncated offset in transmission frame")
 			}
-			t, dests, n, err := wire.DecodeTransmission(c.schema, body)
-			if err != nil {
-				return nil, err
+			off := binary.LittleEndian.Uint64(payload)
+			if c.cur != nil {
+				c.cur.advance(off)
 			}
-			if n != len(body) {
-				return nil, fmt.Errorf("server: transmission frame carries %d trailing bytes", len(body)-n)
-			}
-			return &Delivery{Tuple: t, Destinations: dests, ReceivedAt: time.Now(), Offset: offset}, nil
+			return rxFrame{kind: kind, payload: payload, body: payload[8:], off: off}, nil
 		case FrameHeartbeat:
-			continue
 		case FrameQoS:
-			if err := c.noteQoS(payload); err != nil {
-				return nil, err
+			scale, err := DecodeQoS(payload)
+			if err != nil {
+				return rxFrame{}, err
 			}
-			continue
+			c.qos.Store(math.Float64bits(scale))
+			if c.onQoS != nil {
+				c.onQoS(scale)
+			}
 		case FrameGoodbye:
-			return nil, goodbyeEnd(payload)
+			return rxFrame{}, goodbyeEnd(payload)
 		case FrameError:
-			return nil, remoteError(payload)
+			return rxFrame{}, remoteError(payload)
 		default:
-			return nil, fmt.Errorf("server: unexpected frame kind %d", kind)
+			return rxFrame{}, fmt.Errorf("server: unexpected frame kind %d", kind)
 		}
 	}
+}
+
+// Recv blocks for the next delivery, decoded into fresh storage the
+// caller may keep. It returns io.EOF-wrapped errors on disconnect and
+// ErrStreamEnded once the server ends the stream gracefully (source
+// finished or server drained).
+func (c *Subscriber) Recv() (*Delivery, error) {
+	d := new(Delivery)
+	if err := c.RecvInto(d); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // RecvInto is the allocation-free Recv: it blocks for the next delivery
@@ -558,81 +579,38 @@ func (c *Subscriber) Recv() (*Delivery, error) {
 // the same Delivery; consumers that retain tuples across receives must
 // use Recv. It returns ErrStreamEnded like Recv.
 func (c *Subscriber) RecvInto(d *Delivery) error {
-	for {
-		kind, payload, err := ReadFrameInto(c.br, c.buf)
-		c.buf = payload[:cap(payload)]
-		if err != nil {
-			return fmt.Errorf("server: receiving: %w", err)
-		}
-		switch kind {
-		case FrameTransmission, FrameTransmissionOff:
-			body, offset, err := splitOffset(kind, payload)
-			if err != nil {
-				return err
-			}
-			if d.Tuple == nil {
-				d.Tuple = new(tuple.Tuple)
-			}
-			views, n, err := wire.DecodeTransmissionInto(d.Tuple, c.schema, c.labelViews[:0], body)
-			c.labelViews = views
-			if err != nil {
-				return err
-			}
-			if n != len(body) {
-				return fmt.Errorf("server: transmission frame carries %d trailing bytes", len(body)-n)
-			}
-			d.Destinations = d.Destinations[:0]
-			for _, v := range views {
-				d.Destinations = append(d.Destinations, c.intern(v))
-			}
-			d.ReceivedAt = time.Now()
-			d.Offset = offset
-			return nil
-		case FrameHeartbeat:
-			continue
-		case FrameQoS:
-			if err := c.noteQoS(payload); err != nil {
-				return err
-			}
-			continue
-		case FrameGoodbye:
-			return goodbyeEnd(payload)
-		case FrameError:
-			return remoteError(payload)
-		default:
-			return fmt.Errorf("server: unexpected frame kind %d", kind)
-		}
+	fr, err := c.next()
+	if err != nil {
+		return err
 	}
-}
-
-// intern maps a label view to a stable per-session string via the
-// bounded interner: a resident label allocates nothing, and a churning
-// label stream can never grow the session's memory without bound.
-func (c *Subscriber) intern(b []byte) string { return c.labels.Intern(b) }
-
-// splitOffset strips the durable log offset off an offset-bearing
-// transmission payload; a plain transmission passes through with
-// offset 0.
-func splitOffset(kind byte, payload []byte) (body []byte, offset uint64, err error) {
-	if kind != FrameTransmissionOff {
-		return payload, 0, nil
+	if d.Tuple == nil {
+		d.Tuple = new(tuple.Tuple)
 	}
-	if len(payload) < 8 {
-		return nil, 0, fmt.Errorf("server: truncated offset in transmission frame")
+	views, n, err := wire.DecodeTransmissionInto(d.Tuple, c.schema, c.labelViews[:0], fr.body)
+	c.labelViews = views
+	if err != nil {
+		return err
 	}
-	return payload[8:], binary.LittleEndian.Uint64(payload), nil
+	if n != len(fr.body) {
+		return fmt.Errorf("server: transmission frame carries %d trailing bytes", len(fr.body)-n)
+	}
+	d.Destinations = d.Destinations[:0]
+	for _, v := range views {
+		d.Destinations = append(d.Destinations, c.labels.Intern(v))
+	}
+	d.ReceivedAt = time.Now()
+	d.Offset = fr.off
+	return nil
 }
 
 // RecvContext is Recv bounded by ctx (the blocking read unblocks when
 // ctx fires).
 func (c *Subscriber) RecvContext(ctx context.Context) (*Delivery, error) {
-	var d *Delivery
-	err := withConnCtx(ctx, c.conn.SetReadDeadline, func() error {
-		var e error
-		d, e = c.Recv()
-		return e
-	})
-	return d, err
+	d := new(Delivery)
+	if err := c.RecvIntoContext(ctx, d); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // RecvIntoContext is RecvInto bounded by ctx.
@@ -640,16 +618,32 @@ func (c *Subscriber) RecvIntoContext(ctx context.Context, d *Delivery) error {
 	return withConnCtx(ctx, c.conn.SetReadDeadline, func() error { return c.RecvInto(d) })
 }
 
-// Close leaves the group: the server removes this application's filter,
-// re-deriving the group for the remaining members.
-func (c *Subscriber) Close() error {
+// depart latches the session closed and sends the departure goodbye;
+// sent is false when the session was already closed.
+func (c *Subscriber) depart() (sent bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil
+		return false, nil
 	}
 	c.closed = true
-	_ = WriteFrame(c.conn, FrameGoodbye, nil)
+	return true, WriteFrame(c.conn, FrameGoodbye, nil)
+}
+
+// shut closes a session whose server side is already gone: no goodbye.
+func (c *Subscriber) shut() {
+	c.mu.Lock()
+	c.closed = true
+	c.mu.Unlock()
+	c.conn.Close()
+}
+
+// Close leaves the group: the server removes this application's filter,
+// re-deriving the group for the remaining members.
+func (c *Subscriber) Close() error {
+	if sent, _ := c.depart(); !sent {
+		return nil
+	}
 	return c.conn.Close()
 }
 
@@ -660,40 +654,31 @@ func (c *Subscriber) Close() error {
 // Leave returns nil, the group has been re-derived without this member.
 // Leave must not race a concurrent Recv on the same session.
 func (c *Subscriber) Leave(ctx context.Context) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.isClosed() {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
 	err := withConnCtx(ctx, c.conn.SetDeadline, func() error {
-		if err := WriteFrame(c.conn, FrameGoodbye, nil); err != nil {
+		if sent, err := c.depart(); !sent || err != nil {
 			// The server already tore the session down (stream ended or
 			// drained); there is no group membership left to wait on.
 			return nil
 		}
 		for {
-			kind, payload, err := ReadFrameInto(c.br, c.buf)
-			c.buf = payload[:cap(payload)]
-			if err != nil {
-				if errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) {
-					// The server closes without an ack when the stream
-					// already ended server-side; the group is re-derived
-					// either way. A reset is the same close racing our
-					// goodbye (the goodbye landed on a closed socket).
-					return nil
-				}
-				return fmt.Errorf("server: awaiting departure ack: %w", err)
-			}
-			switch kind {
-			case FrameGoodbye:
+			// Transmissions still in flight are discarded; the
+			// application is leaving.
+			_, err := c.next()
+			switch {
+			case err == nil:
+			case errors.Is(err, ErrStreamEnded):
+				return nil // the ack
+			case errors.Is(err, io.EOF), errors.Is(err, syscall.ECONNRESET):
+				// The server closes without an ack when the stream
+				// already ended server-side; the group is re-derived
+				// either way. A reset is the same close racing our
+				// goodbye (the goodbye landed on a closed socket).
 				return nil
-			case FrameError:
-				return remoteError(payload)
 			default:
-				// Transmissions, heartbeats and QoS frames still in flight
-				// are discarded; the application is leaving.
+				return fmt.Errorf("server: awaiting departure ack: %w", err)
 			}
 		}
 	})
@@ -704,14 +689,10 @@ func (c *Subscriber) Leave(ctx context.Context) error {
 	return cerr
 }
 
-// noteQoS records a FrameQoS announcement for QoS().
-func (c *Subscriber) noteQoS(payload []byte) error {
-	scale, err := DecodeQoS(payload)
-	if err != nil {
-		return err
-	}
-	c.qos.Store(math.Float64bits(scale))
-	return nil
+func (c *Subscriber) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
 }
 
 // remoteError types a server error-frame payload: slow-consumer

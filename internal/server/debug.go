@@ -175,15 +175,16 @@ func (s *Server) Debug() DebugInfo {
 		if s.fed != nil {
 			s.fed.mu.Lock()
 			for _, leg := range s.fed.legs {
+				off, durable := leg.st.cur.Last()
 				leg.mu.Lock()
 				fed.Legs = append(fed.Legs, DebugLeg{
 					Source:     leg.key.source,
 					App:        leg.key.app,
 					Spec:       leg.key.spec,
-					Core:       leg.coreName,
+					Core:       leg.st.Owner(),
 					Members:    len(leg.members),
-					LastOffset: leg.lastOffset.Load(),
-					Durable:    leg.durable.Load(),
+					LastOffset: off,
+					Durable:    durable,
 				})
 				leg.mu.Unlock()
 			}

@@ -45,8 +45,11 @@ func TestQoSCodec(t *testing.T) {
 }
 
 // TestEdgeForwardsQoS checks that a QoS announcement the core sends on
-// an edge's upstream leg reaches the subscriber the edge serves. The
-// core's governor decision is injected on the leg's core member, so the
+// an edge's upstream leg reaches the subscribers the edge serves, and
+// pins the degrade contract behind an edge: two local sessions of the
+// same app and spec share one leg, the core's governor sees that leg as
+// its single member, and so both sessions observe the scale it picks.
+// The governor decision is injected on the leg's core member, so the
 // test needs no timing-dependent overload to produce it.
 func TestEdgeForwardsQoS(t *testing.T) {
 	core := startServer(t, Config{Federation: FederationConfig{Role: federate.RoleCore, Self: "c0"}})
@@ -65,36 +68,48 @@ func TestEdgeForwardsQoS(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
+	sub2, err := DialSubscriber(edge.Addr().String(), "app", "src", "DC1(v, 0.5, 0)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub2.Close()
 	if q := sub.QoS(); q != 1 {
 		t.Fatalf("QoS before any announcement = %g, want 1", q)
 	}
 
-	// The leg is the core's one subscriber session, tagged with the edge.
-	var leg *subscriber
+	// The leg is the core's one subscriber session for both local
+	// sessions, tagged with the edge.
+	var legs []*subscriber
 	waitFor(t, "the edge's upstream leg on the core", func() bool {
 		core.mu.RLock()
 		defer core.mu.RUnlock()
+		legs = legs[:0]
 		for _, s := range core.subs {
 			if s.relayEdge == "e0" {
-				leg = s
+				legs = append(legs, s)
 			}
 		}
-		return leg != nil
+		return len(legs) > 0
 	})
+	if len(legs) != 1 {
+		t.Fatalf("core serves %d relay members for one (app, spec), want 1", len(legs))
+	}
 	const scale = 2.5
-	leg.m.SetQoS(scale)
+	legs[0].m.SetQoS(scale)
 
 	// Recv applies QoS frames as they pass; no transmission follows, so
 	// each bounded Recv ends in a timeout once the frames are consumed.
-	deadline := time.Now().Add(5 * time.Second)
-	for sub.QoS() != scale {
-		if time.Now().After(deadline) {
-			t.Fatalf("edge subscriber QoS = %g, want %g", sub.QoS(), scale)
+	for i, s := range []*Subscriber{sub, sub2} {
+		deadline := time.Now().Add(5 * time.Second)
+		for s.QoS() != scale {
+			if time.Now().After(deadline) {
+				t.Fatalf("edge session %d QoS = %g, want %g", i, s.QoS(), scale)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			if d, err := s.RecvContext(ctx); err == nil {
+				t.Fatalf("unexpected delivery %v", d.Tuple)
+			}
+			cancel()
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		if d, err := sub.RecvContext(ctx); err == nil {
-			t.Fatalf("unexpected delivery %v", d.Tuple)
-		}
-		cancel()
 	}
 }

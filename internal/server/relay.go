@@ -1,8 +1,7 @@
 package server
 
 import (
-	"bufio"
-	"encoding/binary"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -21,6 +20,11 @@ import (
 // FederationConfig places a server in a multi-broker topology. The
 // zero value is the standalone single-node broker, byte-for-byte the
 // pre-federation behavior.
+//
+// Degrade contract behind an edge: the core's governor sees one relay
+// member per (edge, app, spec) leg, so every local session sharing a
+// leg degrades together — the leg forwards each QoS announcement to all
+// of them — and the edge runs no governor of its own.
 type FederationConfig struct {
 	// Role selects the node's tier: RoleCore owns sources (publishers
 	// connect here, engines run here), RoleEdge holds subscriber
@@ -82,49 +86,39 @@ func newRelayMgr(s *Server) *relayMgr {
 	return m
 }
 
-// relayLeg is one upstream subscription: a connection to the
-// source-owning core carrying the group's filtered stream, fanned out
-// to every local member through the pooled refcounted frame path. The
-// leg speaks the ordinary subscriber protocol (version 3 hello), so
+// relayLeg is one upstream subscription: a resumable subscriber Stream
+// to the source-owning core carrying the group's filtered stream, fanned
+// out to every local member through the pooled refcounted frame path.
+// The leg speaks the ordinary subscriber protocol (version 3 hello), so
 // the core sees exactly the membership a single-node deployment would.
 type relayLeg struct {
-	mgr   *relayMgr
-	key   legKey
-	queue int
+	mgr *relayMgr
+	key legKey
+	st  *Stream
 
 	// ready is closed once the first dial resolves; err (set before the
 	// close) rejects waiters when it failed. schemaPayload is the
-	// upstream hello-ok body, replayed verbatim to every local member's
-	// handshake.
+	// upstream schema, replayed to every local member's handshake.
 	ready         chan struct{}
 	err           error
 	schemaPayload []byte
-	schema        *tuple.Schema
 
-	// closing latches teardown (last member left, or shutdown); bye
-	// interrupts redial backoff; done closes when the run loop exits.
+	// closing latches teardown (last member left, shutdown, or the
+	// upstream stream ended for good); ctx ends with it (bye) or with the
+	// server, interrupting redial backoff; done closes when the run loop
+	// exits.
 	closing atomic.Bool
-	bye     chan struct{}
+	ctx     context.Context
+	bye     context.CancelFunc
 	done    chan struct{}
 
 	mu      sync.Mutex
 	members []*subscriber
 	scratch []*subscriber // fan-out copy, so sends run outside the lock
-	conn    net.Conn
-	// coreName is the owner the current connection was dialed against;
-	// when a rebalance moves the source, resume state resets (offsets
-	// name positions in per-core logs and do not transfer).
-	coreName string
-
-	// Resume state, written by the run loop per offset-bearing frame and
-	// read by introspection, hence atomic.
-	lastOffset atomic.Uint64
-	seenOffset atomic.Bool
-	durable    atomic.Bool
 }
 
-// errLegClosing reports an upstream leg torn down mid-operation.
-var errLegClosing = errors.New("server: upstream leg closing")
+// relayBackoff is the legs' redial schedule.
+var relayBackoff = Backoff{Base: 20 * time.Millisecond, Max: 2 * time.Second, Factor: 2, Jitter: 0.2}
 
 // ensureLeg finds or creates the leg for a group. The creator performs
 // the first upstream dial outside the registry lock; concurrent
@@ -148,18 +142,13 @@ func (m *relayMgr) ensureLeg(key legKey, queue int) (*relayLeg, error) {
 					return nil, fmt.Errorf("app %q already subscribed to source %q with a different spec", key.app, key.source)
 				}
 			}
-			leg = &relayLeg{
-				mgr:   m,
-				key:   key,
-				queue: queue,
-				ready: make(chan struct{}),
-				bye:   make(chan struct{}),
-				done:  make(chan struct{}),
-			}
+			leg = m.newLeg(key, queue)
 			m.legs[key] = leg
 			m.mu.Unlock()
-			if err := leg.dialFirst(); err != nil {
+			if err := leg.open(); err != nil {
 				m.drop(leg)
+				leg.bye()
+				leg.st.shut()
 				leg.err = err
 				close(leg.ready)
 				close(leg.done)
@@ -186,6 +175,30 @@ func (m *relayMgr) ensureLeg(key legKey, queue int) (*relayLeg, error) {
 	}
 }
 
+// newLeg builds a leg whose stream dials the source's current owner.
+func (m *relayMgr) newLeg(key legKey, queue int) *relayLeg {
+	leg := &relayLeg{mgr: m, key: key, ready: make(chan struct{}), done: make(chan struct{})}
+	leg.ctx, leg.bye = context.WithCancel(m.s.stopCtx)
+	leg.st = NewStream(StreamConfig{
+		Hello: SubHello{App: key.app, Source: key.source, Spec: key.spec, Queue: queue,
+			Relay: true, RelayEdge: m.self},
+		Timeout: m.timeout,
+		Resolve: func() (string, string, error) {
+			core, ok := m.s.ownerOf(key.source)
+			if !ok {
+				return "", "", fmt.Errorf("server: no core topology to place source %q", key.source)
+			}
+			return core.Name, core.Addr, nil
+		},
+		Backoff: &relayBackoff,
+		// A transient "already subscribed" means the previous leg for this
+		// group is mid-teardown and the core has not acked its departure.
+		BusyWait: m.s.cfg.HandshakeTimeout,
+		OnQoS:    leg.forwardQoS,
+	})
+	return leg
+}
+
 // drop removes a leg from the registry (if still registered).
 func (m *relayMgr) drop(leg *relayLeg) {
 	m.mu.Lock()
@@ -208,10 +221,10 @@ func (leg *relayLeg) attach(sub *subscriber) bool {
 }
 
 // detach removes a departed member. The last member's departure tears
-// the leg down through the acked path: a goodbye upstream, then a wait
-// for the core's departure ack (bounded by read deadlines), so when
-// the local client's own Leave ack goes out, the group at the core has
-// already been re-derived without this app — exactly the ordering a
+// the leg down through the acked path: a goodbye upstream, then the run
+// loop reads on to the core's departure ack (bounded by deadlines), so
+// when the local client's own Leave ack goes out, the group at the core
+// has already been re-derived without this app — exactly the ordering a
 // single-node departure guarantees.
 func (m *relayMgr) detach(sub *subscriber) {
 	leg := sub.leg
@@ -223,134 +236,54 @@ func (m *relayMgr) detach(sub *subscriber) {
 		}
 	}
 	// The CAS is the teardown latch: detach and shutdown race to it, and
-	// only the winner closes bye (a second close would panic).
+	// only the winner tears the leg down.
 	last := len(leg.members) == 0 && leg.closing.CompareAndSwap(false, true)
-	var conn net.Conn
-	if last {
-		conn = leg.conn
-	}
 	leg.mu.Unlock()
 	if !last {
 		return
 	}
 	m.drop(leg)
-	close(leg.bye)
-	if conn != nil {
-		conn.SetWriteDeadline(time.Now().Add(m.s.cfg.WriteTimeout))
-		if err := WriteFrame(conn, FrameGoodbye, nil); err != nil {
-			conn.Close()
-		} else {
-			// The run loop exits on the core's ack; the deadline bounds
-			// the wait if the core never answers.
-			conn.SetReadDeadline(time.Now().Add(m.s.cfg.WriteTimeout))
-		}
-	}
+	leg.bye()
+	leg.st.depart(m.s.cfg.WriteTimeout)
 	<-leg.done
 }
 
-// dialFirst opens the leg's first upstream connection, inside the
-// subscriber handshake of the member that created it. Most rejections
-// (unknown source, bad spec) surface immediately — the local client
-// sees the same error a single-node subscribe would — but a transient
-// "already subscribed" is retried briefly: it means the previous leg
-// for this group is mid-teardown and the core has not acked its
-// departure yet.
-func (leg *relayLeg) dialFirst() error {
-	m := leg.mgr
-	deadline := time.Now().Add(m.s.cfg.HandshakeTimeout)
-	for {
-		core, ok := m.s.ownerOf(leg.key.source)
-		if !ok {
-			return fmt.Errorf("server: no core topology to place source %q", leg.key.source)
-		}
-		conn, payload, err := leg.dialUpstream(core, false)
-		if err == nil {
-			schema, derr := DecodeSchema(payload)
-			if derr != nil {
-				conn.Close()
-				return fmt.Errorf("server: upstream schema: %w", derr)
-			}
-			leg.schemaPayload, leg.schema = payload, schema
-			// Publish the conn under the lock, re-checking closing: a
-			// server shutdown that snapshotted this leg mid-dial saw conn
-			// nil and is waiting on done, so the dial must not hand a live
-			// conn to a run loop shutdown can no longer interrupt.
-			leg.mu.Lock()
-			if leg.closing.Load() {
-				leg.mu.Unlock()
-				conn.Close()
-				return errDraining
-			}
-			leg.conn, leg.coreName = conn, core.Name
-			leg.mu.Unlock()
-			m.s.ctr.fedLegDials.Add(1)
-			m.s.lg.Info("upstream leg opened", "source", leg.key.source, "app", leg.key.app, "core", core.Name)
-			return nil
-		}
-		if !errors.Is(err, ErrAlreadySubscribed) || time.Now().After(deadline) {
-			return err
-		}
-		select {
-		case <-time.After(20 * time.Millisecond):
-		case <-m.s.stop:
+// open opens the leg's first upstream session, inside the subscriber
+// handshake of the member that created it. Rejections (unknown source,
+// bad spec) surface immediately — the local client sees the same error a
+// single-node subscribe would.
+func (leg *relayLeg) open() error {
+	if err := leg.st.Open(leg.ctx); err != nil {
+		if leg.ctx.Err() != nil {
 			return errDraining
 		}
+		return err
 	}
-}
-
-// dialUpstream performs one relay handshake against a core.
-func (leg *relayLeg) dialUpstream(core federate.Node, resume bool) (net.Conn, []byte, error) {
-	hello, err := EncodeSubHello(SubHello{App: leg.key.app, Source: leg.key.source, Spec: leg.key.spec,
-		Queue: leg.queue, Resume: resume, ResumeFrom: leg.lastOffset.Load() + 1,
-		Relay: true, RelayEdge: leg.mgr.self})
+	payload, err := EncodeSchema(leg.st.Session().Schema())
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return dialHello(core.Addr, FrameSubHello, hello, leg.mgr.timeout)
+	leg.schemaPayload = payload
+	leg.mgr.s.ctr.fedLegDials.Add(1)
+	leg.mgr.s.lg.Info("upstream leg opened", "source", leg.key.source, "app", leg.key.app, "core", leg.st.Owner())
+	return nil
 }
 
-// relay stream-end reasons.
-const (
-	relayRedial = iota // drain goodbye, error frame or connection error
-	relayFinish        // plain goodbye: the source finished upstream
-	relayClosed        // teardown ack after a local goodbye
-)
-
-// run is the leg's read loop: it decodes nothing it does not have to,
-// reconstructs each transmission frame byte-identically (same kind,
-// same payload — offsets included), and fans it out to every local
-// member through the refcounted frame pool. On a drain goodbye or a
-// connection error it redials with backoff, resuming a durable
-// upstream from lastOffset+1 so members ride through core restarts and
-// partitions without a gap or a duplicate.
+// run is the leg's read loop over the stream's raw frames: it decodes
+// nothing it does not have to, forwards each transmission frame
+// byte-identically (same kind, same payload — offsets included), and
+// fans it out to every local member through the refcounted frame pool.
+// The stream redials a drain goodbye or a lost connection, resuming a
+// durable upstream from its cursor so members ride through core
+// restarts and partitions without a gap or a duplicate. A finished
+// source finishes the members; an eviction of the leg evicts them all,
+// since they share the leg's group at the core.
 func (leg *relayLeg) run() {
 	defer leg.mgr.s.connWG.Done()
 	defer close(leg.done)
-	for {
-		leg.mu.Lock()
-		conn := leg.conn
-		leg.mu.Unlock()
-		reason := leg.readStream(conn)
-		conn.Close()
-		if leg.closing.Load() || reason == relayClosed {
-			return
-		}
-		if reason == relayFinish {
-			leg.finishMembers()
-			leg.mgr.drop(leg)
-			return
-		}
-		if !leg.redial() {
-			return
-		}
-	}
-}
-
-// readStream consumes one upstream connection until it ends.
-func (leg *relayLeg) readStream(conn net.Conn) int {
-	br := bufio.NewReaderSize(conn, streamReadBuf)
+	defer leg.st.shut()
+	ctr := &leg.mgr.s.ctr
 	var (
-		buf []byte
 		// Relay-latency sampling state: decoding every transmission just
 		// to read its timestamp would tax the relay hot path, so one in
 		// relaySampleEvery frames is decoded into reused scratch.
@@ -359,56 +292,40 @@ func (leg *relayLeg) readStream(conn net.Conn) int {
 		labels  [][]byte
 	)
 	for {
-		kind, b, err := ReadFrameInto(br, buf)
+		sub := leg.st.Session()
+		fr, err := sub.next()
 		if err != nil {
-			if !leg.closing.Load() {
-				leg.mgr.s.lg.Warn("upstream leg lost", "source", leg.key.source, "app", leg.key.app, "err", err)
-			}
-			return relayRedial
-		}
-		buf = b
-		switch kind {
-		case FrameTransmission, FrameTransmissionOff:
-			payload := buf
-			if kind == FrameTransmissionOff {
-				if len(payload) < 8 {
-					return relayRedial
-				}
-				leg.lastOffset.Store(binary.LittleEndian.Uint64(payload))
-				leg.seenOffset.Store(true)
-				leg.durable.Store(true)
-				payload = payload[8:]
-			}
-			leg.mgr.s.ctr.fedRelayFrames.Add(1)
-			var ts int64
-			if leg.mgr.lat != nil && nframes%relaySampleEvery == 0 {
-				if l, _, err := wire.DecodeTransmissionInto(&scratch, leg.schema, labels[:0], payload); err == nil {
-					labels = l
-					ts = scratch.TS.UnixNano()
-				}
-			}
-			nframes++
-			leg.fanout(kind, buf, ts)
-		case FrameQoS:
-			// The core degraded (or restored) the group's effective
-			// quality; forward the announcement to every member.
-			if scale, err := DecodeQoS(buf); err == nil {
-				leg.forwardQoS(scale)
-			}
-		case FrameHeartbeat:
-			// Members heartbeat on their own writer's idle timer.
-		case FrameGoodbye:
 			if leg.closing.Load() {
-				return relayClosed
+				return // the departure ack, or the teardown cut the stream
 			}
-			if string(buf) == goodbyeDrainTag {
-				return relayRedial
+			resumed, rerr := leg.st.recover(leg.ctx, err)
+			if rerr == nil {
+				ctr.fedLegRedials.Add(1)
+				if resumed {
+					ctr.fedLegResumes.Add(1)
+				}
+				leg.mgr.s.lg.Info("upstream leg re-established", "source", leg.key.source, "app", leg.key.app,
+					"core", leg.st.Owner(), "resume", resumed, "cause", err)
+				continue
 			}
-			return relayFinish
-		case FrameError:
-			leg.mgr.s.lg.Warn("upstream leg error", "source", leg.key.source, "app", leg.key.app, "err", string(buf))
-			return relayRedial
+			if leg.closing.CompareAndSwap(false, true) {
+				leg.mgr.s.lg.Warn("upstream leg ended", "source", leg.key.source, "app", leg.key.app, "err", rerr)
+				leg.mgr.drop(leg)
+				leg.bye()
+				leg.endMembers(rerr)
+			}
+			return
 		}
+		ctr.fedRelayFrames.Add(1)
+		var ts int64
+		if leg.mgr.lat != nil && nframes%relaySampleEvery == 0 {
+			if l, _, err := wire.DecodeTransmissionInto(&scratch, sub.Schema(), labels[:0], fr.body); err == nil {
+				labels = l
+				ts = scratch.TS.UnixNano()
+			}
+		}
+		nframes++
+		leg.fanout(fr.kind, fr.payload, ts)
 	}
 }
 
@@ -422,10 +339,7 @@ const relaySampleEvery = 8
 // copied under the lock so a slow member blocking under the block policy
 // never holds up a concurrent detach.
 func (leg *relayLeg) fanout(kind byte, payload []byte, ts int64) {
-	leg.mu.Lock()
-	members := append(leg.scratch[:0], leg.members...)
-	leg.scratch = members
-	leg.mu.Unlock()
+	members := leg.snapshot()
 	if len(members) == 0 {
 		return
 	}
@@ -436,93 +350,37 @@ func (leg *relayLeg) fanout(kind byte, payload []byte, ts int64) {
 	}
 }
 
-// forwardQoS mirrors an upstream QoS announcement to every member.
-func (leg *relayLeg) forwardQoS(scale float64) {
+// snapshot copies the member list into the fan-out scratch; only the run
+// loop (and the QoS hook it calls) uses the scratch.
+func (leg *relayLeg) snapshot() []*subscriber {
 	leg.mu.Lock()
-	members := append(leg.scratch[:0], leg.members...)
-	leg.scratch = members
-	leg.mu.Unlock()
-	for _, sub := range members {
+	defer leg.mu.Unlock()
+	leg.scratch = append(leg.scratch[:0], leg.members...)
+	return leg.scratch
+}
+
+// forwardQoS mirrors an upstream QoS announcement to every member: the
+// core degrades (or restores) the leg's group, and with it every local
+// session sharing the leg.
+func (leg *relayLeg) forwardQoS(scale float64) {
+	for _, sub := range leg.snapshot() {
 		sub.m.SetQoS(scale)
 	}
 }
 
-// finishMembers ends every member's stream gracefully (the upstream
-// source finished): the member writers drain their queues and send the
-// same goodbye a single-node subscriber would receive.
-func (leg *relayLeg) finishMembers() {
+// endMembers ends every member's stream the way the upstream stream
+// ended: an eviction evicts them (with the core's reason), anything else
+// — the source finished — drains their queues and sends the goodbye a
+// single-node subscriber would receive.
+func (leg *relayLeg) endMembers(cause error) {
 	leg.mu.Lock()
 	members := append([]*subscriber(nil), leg.members...)
 	leg.mu.Unlock()
 	for _, sub := range members {
-		sub.m.EndStream()
-	}
-}
-
-// redial re-establishes the upstream leg after a drain goodbye, an
-// error, or a rebalance-forced disconnect, with exponential backoff.
-// Against a durable core it resumes from lastOffset+1 — the splice
-// fence on the core makes the replayed tail plus the live stream
-// gapless and duplicate-free — and falls back to a live subscribe when
-// resume is impossible (non-durable core, or the source moved to a
-// core whose log does not contain the old offsets).
-func (leg *relayLeg) redial() bool {
-	m := leg.mgr
-	backoff := 20 * time.Millisecond
-	for {
-		if leg.closing.Load() {
-			return false
-		}
-		core, ok := m.s.ownerOf(leg.key.source)
-		if !ok {
-			return false
-		}
-		if core.Name != leg.coreName {
-			// The source moved: offsets name positions in the old core's
-			// log and mean nothing on the new one. Rejoin live; the
-			// rebalance protocol quiesces publishers across the move, so
-			// the live rejoin loses nothing.
-			leg.seenOffset.Store(false)
-			leg.durable.Store(false)
-		}
-		resume := leg.durable.Load() && leg.seenOffset.Load()
-		conn, payload, err := leg.dialUpstream(core, resume)
-		if err == nil {
-			if schema, derr := DecodeSchema(payload); derr == nil {
-				leg.schema = schema
-			}
-			leg.mu.Lock()
-			if leg.closing.Load() {
-				leg.mu.Unlock()
-				conn.Close()
-				return false
-			}
-			leg.conn, leg.coreName = conn, core.Name
-			leg.mu.Unlock()
-			m.s.ctr.fedLegRedials.Add(1)
-			if resume {
-				m.s.ctr.fedLegResumes.Add(1)
-			}
-			m.s.lg.Info("upstream leg re-established", "source", leg.key.source, "app", leg.key.app,
-				"core", core.Name, "resume", resume)
-			return true
-		}
-		if resume && errors.Is(err, ErrResumeUnavailable) {
-			// The core came back without its log (or without durability);
-			// a live rejoin is the best remaining contract.
-			leg.seenOffset.Store(false)
-			leg.durable.Store(false)
-			continue
-		}
-		select {
-		case <-leg.bye:
-			return false
-		case <-m.s.stop:
-			return false
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
+		if errors.Is(cause, ErrEvicted) {
+			sub.m.Evict("upstream leg: " + cause.Error())
+		} else {
+			sub.m.EndStream()
 		}
 	}
 }
@@ -541,21 +399,15 @@ func (m *relayMgr) shutdown() {
 	m.legs = make(map[legKey]*relayLeg)
 	m.mu.Unlock()
 	for _, leg := range legs {
-		if leg.closing.CompareAndSwap(false, true) {
-			// Lost to a concurrent last-member detach otherwise: it owns
-			// bye, and its teardown closes the leg on its own.
-			close(leg.bye)
-		}
-		leg.mu.Lock()
-		conn := leg.conn
-		leg.mu.Unlock()
-		if conn != nil {
-			conn.Close()
-		}
+		// A concurrent last-member detach may hold the teardown latch; the
+		// stream closes either way, and the run loop exits.
+		leg.closing.Store(true)
+		leg.bye()
+		leg.st.shut()
 	}
 	for _, leg := range legs {
 		<-leg.done
-		leg.finishMembers()
+		leg.endMembers(nil)
 	}
 }
 
@@ -703,15 +555,10 @@ func (s *Server) UpdatePeers(cores []federate.Node) error {
 	s.fed.mu.Unlock()
 	moved := 0
 	for _, leg := range legs {
-		owner := topo.Owner(leg.key.source)
-		leg.mu.Lock()
-		conn := leg.conn
-		stale := conn != nil && leg.coreName != owner.Name
-		leg.mu.Unlock()
-		if stale {
+		if owner := leg.st.Owner(); owner != "" && owner != topo.Owner(leg.key.source).Name {
 			// Cutting the connection sends the run loop through redial,
-			// which re-resolves the owner and rejoins there.
-			conn.Close()
+			// which re-resolves the owner and rejoins there live.
+			leg.st.Session().conn.Close()
 			moved++
 		}
 	}

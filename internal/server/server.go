@@ -195,7 +195,10 @@ type Server struct {
 
 	srcWG  sync.WaitGroup // source session readers
 	connWG sync.WaitGroup // every session goroutine
-	stop   chan struct{}  // closes background loops
+	// stopCtx ends when shutdown begins, interrupting background loops
+	// (an edge's leg redials).
+	stopCtx context.Context
+	stop    context.CancelFunc
 
 	// lg is the resolved session logger.
 	lg *slog.Logger
@@ -289,11 +292,11 @@ func Start(cfg Config) (*Server, error) {
 		wheel:   b.Wheel(),
 		sources: make(map[string]*sourceSession),
 		subs:    make(map[*broker.Sub]*subscriber),
-		stop:    make(chan struct{}),
 		lg:      b.Config().Logger,
 		names:   intern.New(0),
 		topo:    topo,
 	}
+	s.stopCtx, s.stop = context.WithCancel(context.Background())
 	if cfg.Federation.Role == federate.RoleEdge {
 		s.fed = newRelayMgr(s)
 	}
@@ -837,7 +840,7 @@ func (s *Server) shutdown(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	s.ln.Close()
-	close(s.stop)
+	s.stop()
 	if s.fed != nil {
 		// Tear down the upstream legs first: every local member's stream
 		// then finishes with the drain-tagged goodbye, and the cores

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"math"
 	"testing"
 	"time"
@@ -198,66 +197,5 @@ func TestPaperExample(t *testing.T) {
 		if got := sr.At(i).ValueAt(0); got != w {
 			t.Errorf("tuple %d = %g, want %g", i, got, w)
 		}
-	}
-}
-
-func TestReplayerUnpaced(t *testing.T) {
-	sr := PaperExample()
-	ch := make(chan *tuple.Tuple)
-	r := &Replayer{Series: sr}
-	errc := make(chan error, 1)
-	go func() { errc <- r.Run(context.Background(), ch) }()
-	var got []float64
-	for tp := range ch {
-		got = append(got, tp.ValueAt(0))
-	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != sr.Len() {
-		t.Fatalf("received %d tuples, want %d", len(got), sr.Len())
-	}
-}
-
-func TestReplayerCancel(t *testing.T) {
-	sr, err := NAMOS(Config{N: 100, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := make(chan *tuple.Tuple)
-	r := &Replayer{Series: sr, Realtime: true} // paced, so it blocks
-	errc := make(chan error, 1)
-	go func() { errc <- r.Run(ctx, ch) }()
-	<-ch // receive one tuple, then cancel mid-replay
-	cancel()
-	select {
-	case err := <-errc:
-		if err == nil {
-			t.Error("Run should report context cancellation")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after cancel")
-	}
-}
-
-func TestReplayerPacedSpeedup(t *testing.T) {
-	sr, err := NAMOS(Config{N: 20, Seed: 1, Interval: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan *tuple.Tuple, 32)
-	r := &Replayer{Series: sr, Realtime: true, Speedup: 20}
-	start := time.Now()
-	if err := r.Run(context.Background(), ch); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	// 19 gaps of 20ms at 20x speedup: ~19ms, generously bounded.
-	if elapsed > 2*time.Second {
-		t.Errorf("paced replay too slow: %v", elapsed)
-	}
-	if n := len(ch); n != 20 {
-		t.Errorf("buffered %d tuples, want 20", n)
 	}
 }

@@ -2,10 +2,10 @@ package gasf
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"gasf/internal/seglog"
+	"gasf/internal/server"
 )
 
 // Functional options configure the Broker constructors, replacing the
@@ -413,61 +413,9 @@ func WithDialTimeout(d time.Duration) Option {
 // from Base by Factor per consecutive failure, capped at Max, with a
 // uniform random perturbation of ±Jitter (a fraction of the delay) so a
 // fleet of clients does not thunder back in lockstep after a restart.
-// Zero fields take the defaults noted per field.
-type Backoff struct {
-	// Base is the first retry delay; 0 means 100ms.
-	Base time.Duration
-	// Max caps the grown delay; 0 means 5s.
-	Max time.Duration
-	// Factor multiplies the delay per consecutive failure; 0 means 2.
-	Factor float64
-	// Jitter is the ± perturbation as a fraction of the delay, in [0, 1];
-	// 0 means 0.2.
-	Jitter float64
-}
-
-func (b Backoff) withDefaults() (Backoff, error) {
-	if b.Base < 0 || b.Max < 0 || b.Factor < 0 || b.Jitter < 0 || b.Jitter > 1 {
-		return b, fmt.Errorf("gasf: WithReconnect(%+v): negative field or jitter outside [0, 1]", b)
-	}
-	if b.Base == 0 {
-		b.Base = 100 * time.Millisecond
-	}
-	if b.Max == 0 {
-		b.Max = 5 * time.Second
-	}
-	if b.Max < b.Base {
-		b.Max = b.Base
-	}
-	if b.Factor == 0 {
-		b.Factor = 2
-	}
-	if b.Factor < 1 {
-		return b, fmt.Errorf("gasf: WithReconnect(%+v): factor must be >= 1", b)
-	}
-	if b.Jitter == 0 {
-		b.Jitter = 0.2
-	}
-	return b, nil
-}
-
-// delay returns the backoff delay for the attempt'th consecutive failure
-// (attempt 0 = first retry), jittered.
-func (b Backoff) delay(attempt int) time.Duration {
-	d := float64(b.Base)
-	for i := 0; i < attempt && d < float64(b.Max); i++ {
-		d *= b.Factor
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	// Uniform in [1-Jitter, 1+Jitter).
-	d *= 1 + b.Jitter*(2*rand.Float64()-1)
-	if d < 0 {
-		d = 0
-	}
-	return time.Duration(d)
-}
+// Zero fields take the defaults noted per field. It is the transport's
+// schedule type, which an edge's upstream legs redial on as well.
+type Backoff = server.Backoff
 
 // WithReconnect makes a dialed broker's sessions self-healing: when a
 // source or subscription session loses its connection, the operation in
@@ -484,9 +432,9 @@ func (b Backoff) delay(attempt int) time.Duration {
 // keep retrying until the calling context expires.
 func WithReconnect(b Backoff) Option {
 	return remoteOption{"WithReconnect", func(c *brokerConfig) {
-		bo, err := b.withDefaults()
+		bo, err := b.WithDefaults()
 		if err != nil {
-			c.err = err
+			c.err = fmt.Errorf("gasf: WithReconnect(%+v): %w", b, err)
 			return
 		}
 		c.reconnect = &bo

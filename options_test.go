@@ -153,7 +153,7 @@ func TestSubscriptionQueueDepthPropagates(t *testing.T) {
 // attempts far past the cap), and every jittered delay lies in
 // [1-Jitter, 1+Jitter) of the nominal one.
 func TestBackoffSchedule(t *testing.T) {
-	b, err := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 3, Jitter: 0.25}.withDefaults()
+	b, err := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 3, Jitter: 0.25}.WithDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +162,16 @@ func TestBackoffSchedule(t *testing.T) {
 		n *= time.Millisecond
 		lo, hi := time.Duration(float64(n)*0.75), time.Duration(float64(n)*1.25)
 		for i := 0; i < 200; i++ {
-			if d := b.delay(attempt); d < lo || d >= hi {
+			if d := b.Delay(attempt); d < lo || d >= hi {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v)", attempt, d, lo, hi)
 			}
 		}
 	}
-	if d := b.delay(1 << 20); d >= 100*time.Millisecond {
+	if d := b.Delay(1 << 20); d >= 100*time.Millisecond {
 		t.Errorf("attempt 2^20: delay %v escaped the cap", d)
 	}
 	// Jitter 0 takes the default 0.2; the defaults fill the other fields.
-	def, err := Backoff{}.withDefaults()
+	def, err := Backoff{}.WithDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestBackoffSchedule(t *testing.T) {
 // elapses, and returns the context's error as soon as the context ends.
 func TestBackoffWaitCancel(t *testing.T) {
 	short := Backoff{Base: time.Millisecond, Max: time.Millisecond, Factor: 1, Jitter: 0.1}
-	if err := backoffWait(context.Background(), &short, 0); err != nil {
+	if err := short.Wait(context.Background(), 0); err != nil {
 		t.Fatalf("elapsed wait: %v", err)
 	}
 	long := Backoff{Base: time.Hour, Max: time.Hour, Factor: 1, Jitter: 0.1}
@@ -194,7 +194,7 @@ func TestBackoffWaitCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	if err := backoffWait(ctx, &long, 0); !errors.Is(err, context.Canceled) {
+	if err := long.Wait(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled wait = %v, want context.Canceled", err)
 	}
 	if waited := time.Since(start); waited > 5*time.Second {

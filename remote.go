@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gasf/internal/server"
 )
@@ -70,7 +67,7 @@ func (r *Remote) OpenSource(ctx context.Context, name string, schema *Schema) (S
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pub, err := server.DialPublisherTimeout(r.addr, name, schema, dialTimeoutFor(ctx, r.cfg.dialTimeout))
+	pub, err := server.DialPublisherTimeout(r.addr, name, schema, server.DialTimeoutFor(ctx, r.cfg.dialTimeout))
 	if err != nil {
 		return nil, err
 	}
@@ -99,30 +96,20 @@ func (r *Remote) Subscribe(ctx context.Context, app, source, spec string, opts .
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ss, err := server.DialSubscriberOpts(r.addr, app, source, sp.String(), server.SubDialOpts{
-		Queue:      sc.queue,
-		Resume:     sc.resume,
-		ResumeFrom: sc.resumeFrom,
-		Timeout:    dialTimeoutFor(ctx, r.cfg.dialTimeout),
+	st := server.NewStream(server.StreamConfig{
+		Hello: server.SubHello{App: app, Source: source, Spec: sp.String(),
+			Queue: sc.queue, Resume: sc.resume, ResumeFrom: sc.resumeFrom},
 		RecvBuffer: sc.recvBuffer,
+		Timeout:    r.cfg.dialTimeout,
+		Resolve:    func() (string, string, error) { return r.addr, r.addr, nil },
+		Backoff:    r.cfg.reconnect,
 	})
-	if err != nil {
+	if err := st.Open(ctx); err != nil {
 		return nil, err
 	}
-	sub := &remoteSub{
-		r:          r,
-		sp:         sp,
-		app:        app,
-		source:     source,
-		specStr:    sp.String(),
-		queue:      sc.queue,
-		recvBuffer: sc.recvBuffer,
-		origResume: sc.resume,
-		origFrom:   sc.resumeFrom,
-	}
-	sub.sub.Store(ss)
-	if !r.track(sub, ss.Close) {
-		ss.Close()
+	sub := &remoteSub{r: r, sp: sp, st: st}
+	if !r.track(sub, st.Close) {
+		st.Close()
 		return nil, errBrokerClosed
 	}
 	return sub, nil
@@ -154,44 +141,6 @@ func (r *Remote) Close(ctx context.Context) error {
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
-}
-
-// connLost reports whether err looks like a lost connection — the class
-// of failure a redial can heal — rather than a caller-side cancellation
-// or a protocol-level rejection. context.DeadlineExceeded implements
-// net.Error, so the context sentinels are excluded first.
-func connLost(err error) bool {
-	if err == nil ||
-		errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if errors.Is(err, server.ErrServerDraining) {
-		// A drain-tagged goodbye: the stream ended because the server is
-		// going down, not because the source finished — exactly the class
-		// of failure a redial against a restarted server heals.
-		return true
-	}
-	if errors.Is(err, ErrStreamEnded) || errors.Is(err, server.ErrEvicted) {
-		return false
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
-
-// backoffWait sleeps for the attempt'th backoff delay, bounded by ctx.
-func backoffWait(ctx context.Context, b *Backoff, attempt int) error {
-	t := time.NewTimer(b.delay(attempt))
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // sourceWindowCap bounds the reconnect republish window, in tuples: the
@@ -257,7 +206,7 @@ func (s *remoteSource) publishLocked(ctx context.Context, tuples []*Tuple) error
 		s.remember(tuples)
 		return nil
 	}
-	if !connLost(err) {
+	if !server.Redialable(err) {
 		return err
 	}
 	// The write may have landed partially; remember the batch and let the
@@ -285,42 +234,27 @@ func (s *remoteSource) remember(tuples []*Tuple) {
 // safely. Replayed tuples stay in the window until the next Sync
 // barrier acknowledges them.
 func (s *remoteSource) redialReplayLocked(ctx context.Context) error {
-	bo := s.r.cfg.reconnect
-	s.pub.Load().Close()
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pub, err := server.DialPublisherTimeout(s.r.addr, s.name, s.schema, dialTimeoutFor(ctx, s.r.cfg.dialTimeout))
+	return s.r.cfg.reconnect.Retry(ctx, func() (bool, error) {
+		s.pub.Load().Close() // the lost session, or the one whose replay failed
+		pub, err := server.DialPublisherTimeout(s.r.addr, s.name, s.schema, server.DialTimeoutFor(ctx, s.r.cfg.dialTimeout))
 		if err != nil {
-			if wErr := backoffWait(ctx, bo, attempt); wErr != nil {
-				return fmt.Errorf("gasf: reconnecting source %q: %w (last dial error: %v)", s.name, wErr, err)
-			}
-			continue
+			return false, err
 		}
 		s.pub.Store(pub)
 		if !s.r.track(s, pub.Close) {
 			pub.Close()
-			return errBrokerClosed
+			return true, errBrokerClosed
 		}
 		replay := s.window
 		if maxSeq, ok := pub.ResumeHint(); ok && !s.truncated {
 			replay = trimWindow(replay, maxSeq)
 		}
 		if len(replay) == 0 {
-			return nil
+			return true, nil
 		}
 		err = pub.PublishBatchContext(ctx, replay)
-		if err == nil {
-			return nil
-		}
-		if !connLost(err) {
-			return err
-		}
-		if wErr := backoffWait(ctx, bo, attempt); wErr != nil {
-			return wErr
-		}
-	}
+		return !server.Redialable(err), err
+	})
 }
 
 // trimWindow drops the window prefix the server already holds (sequence
@@ -363,7 +297,7 @@ func (s *remoteSource) Sync(ctx context.Context) error {
 			s.truncated = false
 			return nil
 		}
-		if !connLost(err) {
+		if !server.Redialable(err) {
 			return err
 		}
 		if rerr := s.redialReplayLocked(ctx); rerr != nil {
@@ -391,203 +325,56 @@ func (s *remoteSource) Finish(ctx context.Context) error {
 	return err
 }
 
-// remoteSub adapts a subscriber session to the unified interface.
-// Without WithReconnect it is a veneer over one session; with it, the
-// subscription tracks the last delivered durable log offset and a lost
-// connection is redialed with Resume from lastOffset+1, splicing the
-// redelivered history onto the live stream gapless and duplicate-free.
-// A source-finish stream end and an eviction are terminal — never
-// redialed; a drain-tagged end (server shutdown) redials like any other
-// connection loss.
+// remoteSub adapts a subscriber stream to the unified interface. The
+// stream (internal/server) owns the session, the resume cursor and, with
+// WithReconnect, the redials: a lost connection or a drain goodbye is
+// redialed with Resume from the last delivered offset plus one, splicing
+// the redelivered history onto the live stream gapless and
+// duplicate-free. A source-finish stream end and an eviction are
+// terminal — never redialed.
 type remoteSub struct {
-	r          *Remote
-	sub        atomic.Pointer[server.Subscriber]
-	sp         Spec
-	app        string
-	source     string
-	specStr    string
-	queue      int
-	recvBuffer int
-	origResume bool
-	origFrom   uint64
-
-	// Receive-side state; Recv/RecvInto are per-session serial (the
-	// documented contract on every transport), so none of it needs a
-	// lock.
-	//
-	// ended latches a terminal stream end: the session is closed and
-	// untracked right away (a long-lived Remote would otherwise
-	// accumulate dead sessions whose callers never Close after
-	// ErrStreamEnded), and later receives keep reporting endedErr.
-	ended    bool
-	endedErr error
-	// lastOffset/seen track the newest delivered durable log offset, the
-	// resume point after a reconnect.
-	lastOffset uint64
-	seen       bool
-	// scratch backs RecvInto so the session's zero-allocation decode
-	// path carries over: the caller's tuple is lent to the wire decoder
-	// and handed back with the reused label storage.
-	scratch server.Delivery
+	r  *Remote
+	sp Spec
+	st *server.Stream
 }
 
 var _ Subscription = (*remoteSub)(nil)
 
-func (s *remoteSub) App() string     { return s.app }
-func (s *remoteSub) Source() string  { return s.source }
-func (s *remoteSub) Schema() *Schema { return s.sub.Load().Schema() }
+func (s *remoteSub) App() string     { return s.st.Session().App() }
+func (s *remoteSub) Source() string  { return s.st.Session().Source() }
+func (s *remoteSub) Schema() *Schema { return s.st.Session().Schema() }
 func (s *remoteSub) Spec() Spec      { return s.sp }
 
 // QoS returns the quality scale last announced by the server's degrade
 // policy for this session (1 until any announcement arrives; resets to
 // 1 on a reconnect, matching the fresh session's full fidelity).
-func (s *remoteSub) QoS() float64 { return s.sub.Load().QoS() }
+func (s *remoteSub) QoS() float64 { return s.st.Session().QoS() }
 
 func (s *remoteSub) Recv(ctx context.Context) (*Delivery, error) {
-	if s.ended {
-		return nil, s.endedErr
-	}
-	for {
-		d, err := s.sub.Load().RecvContext(ctx)
-		if err == nil {
-			s.noteOffset(d.Offset)
-			return &Delivery{Tuple: d.Tuple, Destinations: d.Destinations, ReceivedAt: d.ReceivedAt, Offset: d.Offset}, nil
-		}
-		retry, ferr := s.recvErr(ctx, err)
-		if !retry {
-			return nil, ferr
-		}
-	}
+	d, err := s.st.Recv(ctx)
+	return d, s.ended(err)
 }
 
 func (s *remoteSub) RecvInto(ctx context.Context, d *Delivery) error {
-	if s.ended {
-		return s.endedErr
-	}
-	for {
-		s.scratch.Tuple = d.Tuple
-		s.scratch.Destinations = s.scratch.Destinations[:0]
-		err := s.sub.Load().RecvIntoContext(ctx, &s.scratch)
-		if err == nil {
-			d.Tuple = s.scratch.Tuple
-			d.Destinations = s.scratch.Destinations
-			d.ReceivedAt = s.scratch.ReceivedAt
-			d.Offset = s.scratch.Offset
-			s.noteOffset(d.Offset)
-			return nil
-		}
-		retry, ferr := s.recvErr(ctx, err)
-		if !retry {
-			return ferr
-		}
-	}
+	return s.ended(s.st.RecvInto(ctx, d))
 }
 
-func (s *remoteSub) noteOffset(off uint64) {
-	s.lastOffset, s.seen = off, true
-}
-
-// recvErr classifies a receive failure: terminal ends latch the
-// subscription, connection loss redials when reconnect is configured
-// (retry=true resumes the receive on the fresh session), anything else
-// surfaces unchanged.
-func (s *remoteSub) recvErr(ctx context.Context, err error) (retry bool, _ error) {
-	if errors.Is(err, ErrStreamEnded) {
-		if s.r.cfg.reconnect != nil && errors.Is(err, server.ErrServerDraining) {
-			// The server is shutting down, not the source finishing:
-			// redial and resume against its restarted incarnation. (A
-			// permanent shutdown keeps the redial retrying until ctx
-			// expires — the caller's ctx bounds the wait.)
-			if rerr := s.redial(ctx); rerr != nil {
-				return false, rerr
-			}
-			return true, nil
-		}
-		s.end(ErrStreamEnded)
-		return false, ErrStreamEnded
+// ended maps a receive error to the public sentinels. A stream that has
+// ended for good is untracked right away: a long-lived Remote would
+// otherwise accumulate dead sessions whose callers never Close after
+// ErrStreamEnded.
+func (s *remoteSub) ended(err error) error {
+	if err != nil && s.st.Ended() {
+		s.r.untrack(s)
 	}
-	if errors.Is(err, server.ErrEvicted) {
-		mapped := mapStreamEnd(err)
-		s.end(mapped)
-		return false, mapped
-	}
-	if s.r.cfg.reconnect == nil || !connLost(err) {
-		return false, err
-	}
-	if rerr := s.redial(ctx); rerr != nil {
-		return false, rerr
-	}
-	return true, nil
-}
-
-// end retires the session on a terminal stream end: the server side is
-// already gone, so the connection is released immediately and the broker
-// stops tracking it.
-func (s *remoteSub) end(err error) {
-	s.ended = true
-	s.endedErr = err
-	_ = s.sub.Load().Close()
-	s.r.untrack(s)
-}
-
-// redial re-establishes the subscriber session on the backoff schedule,
-// bounded by ctx. Against a durable server it resumes from the last
-// delivered offset (or the subscription's original resume point if
-// nothing was delivered yet), splicing history and live stream with no
-// gap and no duplicate. A server without a durable log rejects the
-// resume; the redial then falls back to a plain live re-subscription.
-func (s *remoteSub) redial(ctx context.Context) error {
-	bo := s.r.cfg.reconnect
-	_ = s.sub.Load().Close()
-	resumeFromSeen := s.seen
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		o := server.SubDialOpts{Queue: s.queue, Timeout: dialTimeoutFor(ctx, s.r.cfg.dialTimeout), RecvBuffer: s.recvBuffer}
-		switch {
-		case resumeFromSeen:
-			o.Resume, o.ResumeFrom = true, s.lastOffset+1
-		case s.origResume:
-			o.Resume, o.ResumeFrom = true, s.origFrom
-		}
-		ss, err := server.DialSubscriberOpts(s.r.addr, s.app, s.source, s.specStr, o)
-		if err != nil {
-			if resumeFromSeen && !s.origResume && errors.Is(err, server.ErrResumeUnavailable) {
-				// The server cannot replay: no durable log (e.g. it was
-				// restarted without one), the offset is past the log head,
-				// or the session rides an edge node whose upstream leg owns
-				// the resume state. Fall back to a plain live
-				// re-subscription rather than never reconnecting.
-				resumeFromSeen = false
-				continue
-			}
-			// Everything else retries until ctx expires: the server may be
-			// restarting (connection refused), the source may not have
-			// reattached yet (unknown source), or the server may not have
-			// noticed the old session die (already subscribed).
-			if wErr := backoffWait(ctx, bo, attempt); wErr != nil {
-				return fmt.Errorf("gasf: reconnecting subscription %s/%s: %w (last dial error: %v)", s.app, s.source, wErr, err)
-			}
-			continue
-		}
-		s.sub.Store(ss)
-		if !s.r.track(s, ss.Close) {
-			ss.Close()
-			return errBrokerClosed
-		}
-		return nil
-	}
+	return mapStreamEnd(err)
 }
 
 // Close leaves the group and waits for the server's departure ack, so a
 // caller that continues publishing afterwards knows the group has been
 // re-derived without this member.
 func (s *remoteSub) Close(ctx context.Context) error {
-	if s.ended {
-		return nil // the stream ended; the session is gone
-	}
-	err := s.sub.Load().Leave(ctx)
+	err := s.st.Leave(ctx)
 	s.r.untrack(s)
 	return err
 }
