@@ -106,11 +106,13 @@ func (b Backoff) Retry(ctx context.Context, op func() (done bool, err error)) er
 }
 
 // DialTimeoutFor bounds one dial by the configured timeout and ctx's
-// deadline, whichever is sooner (0 leaves the 5s dial default).
+// deadline, whichever is sooner (0 leaves the 5s dial default). A
+// deadline already past still yields a positive timeout, so the dial
+// fails at once instead of falling back to the default.
 func DialTimeoutFor(ctx context.Context, def time.Duration) time.Duration {
 	if deadline, ok := ctx.Deadline(); ok {
 		if d := time.Until(deadline); def <= 0 || d < def {
-			return d
+			return max(d, time.Nanosecond)
 		}
 	}
 	return def

@@ -176,6 +176,28 @@ func fixedNode(name, addr string) func() (string, string, error) {
 // testBackoff redials quickly.
 var testBackoff = Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond, Factor: 2, Jitter: 0.2}
 
+// TestReconnectDialTimeoutFor checks a dial's timeout takes the sooner
+// of the configured one and the context's deadline, and stays positive
+// once the deadline has passed (a zero timeout means the 5s default).
+func TestReconnectDialTimeoutFor(t *testing.T) {
+	if d := DialTimeoutFor(context.Background(), 0); d != 0 {
+		t.Errorf("no deadline, no default: %v, want 0", d)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	if d := DialTimeoutFor(ctx, time.Second); d != time.Second {
+		t.Errorf("distant deadline: %v, want the configured 1s", d)
+	}
+	if d := DialTimeoutFor(ctx, 0); d <= time.Minute {
+		t.Errorf("deadline with no configured timeout: %v, want about an hour", d)
+	}
+	past, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	if d := DialTimeoutFor(past, 0); d <= 0 || d > time.Millisecond {
+		t.Errorf("passed deadline: %v, want a tiny positive timeout", d)
+	}
+}
+
 // TestResumeUnavailableFallsBackLive redials a stream whose cursor holds
 // a position against a server with no durable log: the resume is
 // rejected with ErrResumeUnavailable, and the redial rejoins live at
